@@ -1120,7 +1120,11 @@ def _cmd_fault_campaign(args) -> None:
 
 def _cmd_profile(args) -> int:
     from .config import MemoryConfig
-    from .core.cycle_model import ffn_cycle_breakdown, mha_cycle_breakdown
+    from .core.cycle_model import (
+        DENSE,
+        ffn_cycle_breakdown,
+        mha_cycle_breakdown,
+    )
     from .telemetry import (
         MetricsRegistry,
         profile_schedule,
@@ -1147,30 +1151,15 @@ def _cmd_profile(args) -> int:
     closed_forms = {"mha": mha_cycle_breakdown, "ffn": ffn_cycle_breakdown}
     spec = (_parse_compression(args.compression)
             if getattr(args, "compression", None) else None)
-    if spec is not None:
-        from .compress import (
-            compressed_ffn_breakdown,
-            compressed_mha_breakdown,
-            schedule_compressed_ffn,
-            schedule_compressed_mha,
-        )
-        schedulers = {
-            "mha": lambda m, a, mm, registry=None:
-                schedule_compressed_mha(m, a, spec, mm, registry=registry),
-            "ffn": lambda m, a, mm, registry=None:
-                schedule_compressed_ffn(m, a, spec, mm, registry=registry),
-        }
-        closed_forms = {
-            "mha": lambda m, a, mm: compressed_mha_breakdown(m, a, spec, mm),
-            "ffn": lambda m, a, mm: compressed_ffn_breakdown(m, a, spec, mm),
-        }
+    priced = DENSE if spec is None else spec
     results = []
     mismatch = False
     for block in blocks:
-        result = schedulers[block](model, acc, mem, registry=registry)
+        result = schedulers[block](model, acc, mem, registry=registry,
+                                   spec=priced)
         results.append(result)
         prof = profile_schedule(result)
-        closed = closed_forms[block](model, acc, mem).total_cycles
+        closed = closed_forms[block](model, acc, mem, priced).total_cycles
         title = f"{block.upper()} cycle attribution — {model.name}, "
         if spec is not None:
             title += f"compression {spec.label}, "
@@ -1204,8 +1193,7 @@ def _cmd_profile(args) -> int:
             # partition above still sums exactly); the skipped MACs
             # never ran, so they are reported as avoided cycles next
             # to the dense reference rather than folded into a row.
-            dense_result = (schedule_mha if block == "mha"
-                            else schedule_ffn)(model, acc, mem)
+            dense_result = schedulers[block](model, acc, mem)
             skipped = (dense_result.sa_active_cycles
                        - result.sa_active_cycles)
             savings = 1.0 - result.total_cycles / dense_result.total_cycles

@@ -16,10 +16,10 @@ metric by refusing work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..serving.metrics import percentile
 from ..telemetry.instrument import record_cluster
 from ..telemetry.registry import MetricsRegistry
 
@@ -161,11 +161,6 @@ class ClusterMetrics:
         return rows
 
 
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _latency_stats(latencies: list[float]) -> tuple[float, float, float]:
     """Empty-safe (p50, p99, mean): all 0.0 when nothing completed.
 
@@ -177,8 +172,8 @@ def _latency_stats(latencies: list[float]) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     ordered = sorted(latencies)
     return (
-        _percentile(ordered, 50),
-        _percentile(ordered, 99),
+        percentile(ordered, 50),
+        percentile(ordered, 99),
         sum(ordered) / len(ordered),
     )
 

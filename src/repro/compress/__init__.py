@@ -6,10 +6,14 @@ the whole stack:
 
 * :mod:`formats <repro.compress.formats>` — the numeric containers
   with INT8 quantization and the dense-expansion equivalence path;
-* :mod:`schedule <repro.compress.schedule>` /
-  :mod:`cycle_model <repro.compress.cycle_model>` — event-timeline and
-  closed-form pricing of compressed passes, held to exact agreement
-  (zero row-groups skipped, index/setup overhead charged);
+* pricing — a compressed weight pass is the dense SA pass priced under
+  the spec, so the core event scheduler and closed form take it
+  directly (``schedule_mha(..., spec=)``, ``mha_cycle_breakdown(...,
+  spec=)`` and the FFN pair: zero row-groups skipped, index/setup
+  overhead charged, smaller tiles fetched).
+  :mod:`schedule <repro.compress.schedule>` and
+  :mod:`cycle_model <repro.compress.cycle_model>` hold only spec-first
+  forwards to them;
 * :mod:`footprint <repro.compress.footprint>` — BRAM residency and
   off-chip bandwidth relief (:mod:`repro.memsys` terms);
 * :mod:`apply <repro.compress.apply>` — project a trained Transformer
@@ -31,12 +35,7 @@ from .apply import (
     restore_weights,
     snapshot_weights,
 )
-from .cycle_model import (
-    compressed_ffn_breakdown,
-    compressed_ffn_tile_bytes,
-    compressed_mha_breakdown,
-    compressed_mha_tile_bytes,
-)
+from .cycle_model import compressed_ffn_breakdown, compressed_mha_breakdown
 from .footprint import (
     FootprintReport,
     ffn_weight_bytes,
@@ -65,9 +64,7 @@ __all__ = [
     "compress_dense",
     "compress_model",
     "compressed_ffn_breakdown",
-    "compressed_ffn_tile_bytes",
     "compressed_mha_breakdown",
-    "compressed_mha_tile_bytes",
     "compress_trace_spans",
     "compression_sweep",
     "default_sweep_specs",

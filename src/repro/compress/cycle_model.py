@@ -1,29 +1,8 @@
-"""Closed-form cycle model for compressed MHA/FFN ResBlocks.
+"""Compressed MHA/FFN closed forms: forwards to :mod:`repro.core.cycle_model`.
 
-Derives the totals of :mod:`repro.compress.schedule` algebraically so
-the property tests can hold the two to EXACT integer agreement, the
-same contract the dense MHA/FFN and fused-attention models satisfy.
-
-Pricing, mirroring the timeline:
-
-* every weight-streaming pass reduces over
-  ``spec.effective_depth(k)`` active cycles and pays
-  ``spec.pass_overhead_cycles(k)`` extra control cycles — the circulant
-  row-generator seed loads or the N:M index decode.  The overhead is
-  folded into ``issue_cycles`` (it is control time on the SA, exactly
-  like ``pass_issue_cycles``), so :class:`CycleBreakdown` needs no new
-  field and the REP002 pricing-parity lint holds unchanged;
-* the memsys stall recursions rerun with the compressed pass busy
-  times and the compressed tile fetch cost
-  (``spec.weight_tile_bytes``) — a compressed weight pass is shorter
-  *and* its tile is smaller, which moves the compute/memory-bound
-  crossover;
-* ``ideal_cycles`` stays the *dense* MAC bound, so utilization and
-  cycle-savings numbers compare compressed runs against the
-  uncompressed ideal rather than moving the goalposts.
-
-Activation-only passes, softmax and LayerNorm are identical to
-:mod:`repro.core.cycle_model`.
+:func:`~repro.core.cycle_model.mha_cycle_breakdown` /
+``ffn_cycle_breakdown`` price compressed weight passes under their
+``spec`` argument.  These names keep the spec-first call order.
 """
 
 from __future__ import annotations
@@ -38,133 +17,9 @@ from ..config import (
 )
 from ..core.cycle_model import (
     CycleBreakdown,
-    _abft_exposure,
-    _layernorm_tail,
-    _skew_and_drain,
-    pass_busy_cycles,
+    ffn_cycle_breakdown,
+    mha_cycle_breakdown,
 )
-from ..errors import ScheduleError
-
-
-def compressed_mha_tile_bytes(
-    model: ModelConfig, acc: AcceleratorConfig, spec: CompressionSpec
-) -> int:
-    """Bytes of one compressed 64-column MHA weight tile."""
-    return spec.weight_tile_bytes(model.d_model, acc.sa_cols, acc.weight_bits)
-
-
-def compressed_ffn_tile_bytes(
-    model: ModelConfig, acc: AcceleratorConfig, spec: CompressionSpec
-) -> tuple[int, int]:
-    """Bytes of one compressed 64-column W1 tile and one W2 tile."""
-    w1 = spec.weight_tile_bytes(model.d_model, acc.sa_cols, acc.weight_bits)
-    w2 = spec.weight_tile_bytes(model.d_ff, acc.sa_cols, acc.weight_bits)
-    return w1, w2
-
-
-def _compressed_weight_pass_busy(
-    acc: AcceleratorConfig,
-    spec: CompressionSpec,
-    k: int,
-    break_pass: bool,
-) -> int:
-    """SA-busy cycles of one compressed weight pass (depth ``k``)."""
-    return (
-        pass_busy_cycles(acc, spec.effective_depth(k), True, break_pass)
-        + spec.pass_overhead_cycles(k)
-    )
-
-
-def _compressed_mha_memsys_stalls(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    spec: CompressionSpec,
-    mem: MemoryConfig,
-) -> tuple[int, int]:
-    """(memsys stall, softmax stall) of one compressed MHA ResBlock.
-
-    The recursion of :func:`repro.core.cycle_model._mha_memsys_stalls`
-    with every weight-pass busy time and tile fetch replaced by its
-    compressed counterpart; the activation passes (``Q K^T``, ``P V``)
-    keep their dense busy times.
-    """
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    qkt_passes = -(-s // acc.sa_cols)
-    exposed = s + acc.softmax_pipeline_depth
-    b_chain = _compressed_weight_pass_busy(acc, spec, d_model, False)
-    fetch = mem.transfer_cycles(
-        compressed_mha_tile_bytes(model, acc, spec), acc.clock_mhz
-    )
-    if not mem.double_buffered_prefetch:
-        mem_stall = 4 * h * fetch
-        sm_stall = h * max(0, exposed - b_chain - fetch)
-        return mem_stall, sm_stall
-    b_first = _compressed_weight_pass_busy(acc, spec, d_model, True)
-    b_qkt0 = pass_busy_cycles(acc, acc.sa_cols, False, True)
-    b_qktx = pass_busy_cycles(
-        acc, acc.sa_cols, False, acc.single_ported_buffers
-    )
-    b_pv = pass_busy_cycles(acc, s, False, True)
-    gap_v = b_chain + b_qkt0 + (qkt_passes - 1) * b_qktx
-    mem_stall = 0
-    sm_stall = 0
-    stall_v = 0
-    for i in range(h):
-        if i == 0:
-            stall_q = fetch
-        else:
-            gap_q = max(b_chain, exposed - stall_v) + b_pv
-            stall_q = max(0, fetch - gap_q)
-        stall_k = max(0, fetch - (b_first if i == 0 else b_chain))
-        stall_v = max(0, fetch - gap_v)
-        mem_stall += stall_q + stall_k + stall_v
-        sm_stall += max(0, exposed - b_chain - stall_v)
-    gap_g0 = max(b_chain, exposed - stall_v) + b_pv
-    mem_stall += max(0, fetch - gap_g0)
-    if h >= 2:
-        b_g0 = _compressed_weight_pass_busy(acc, spec, d_model, True)
-        b_gx = _compressed_weight_pass_busy(
-            acc, spec, d_model, acc.single_ported_buffers
-        )
-        mem_stall += max(0, fetch - b_g0)
-        mem_stall += (h - 2) * max(0, fetch - b_gx)
-    return mem_stall, sm_stall
-
-
-def _compressed_ffn_memsys_stalls(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    spec: CompressionSpec,
-    mem: MemoryConfig,
-) -> int:
-    """Memsys stall of one compressed FFN ResBlock (linear chain)."""
-    w1_bytes, w2_bytes = compressed_ffn_tile_bytes(model, acc, spec)
-    fetch1 = mem.transfer_cycles(w1_bytes, acc.clock_mhz)
-    fetch2 = mem.transfer_cycles(w2_bytes, acc.clock_mhz)
-    num_w1 = model.d_ff // acc.sa_cols
-    num_w2 = model.d_model // acc.sa_cols
-    if not mem.double_buffered_prefetch:
-        return num_w1 * fetch1 + num_w2 * fetch2
-    b1_first = _compressed_weight_pass_busy(acc, spec, model.d_model, True)
-    b1_other = _compressed_weight_pass_busy(
-        acc, spec, model.d_model, acc.single_ported_buffers
-    )
-    b2_first = _compressed_weight_pass_busy(acc, spec, model.d_ff, True)
-    b2_other = _compressed_weight_pass_busy(
-        acc, spec, model.d_ff, acc.single_ported_buffers
-    )
-    stall = fetch1                       # cold start on w1.0
-    if num_w1 >= 2:
-        stall += max(0, fetch1 - b1_first)
-        stall += (num_w1 - 2) * max(0, fetch1 - b1_other)
-    last_w1 = b1_first if num_w1 == 1 else b1_other
-    stall += max(0, fetch2 - last_w1)
-    if num_w2 >= 2:
-        stall += max(0, fetch2 - b2_first)
-        stall += (num_w2 - 2) * max(0, fetch2 - b2_other)
-    return stall
 
 
 def compressed_mha_breakdown(
@@ -173,59 +28,8 @@ def compressed_mha_breakdown(
     spec: CompressionSpec,
     mem: Optional[MemoryConfig] = None,
 ) -> CycleBreakdown:
-    """Analytic cycle count of one compressed MHA ResBlock.
-
-    Same pass inventory as the dense model; the ``4h`` weight passes
-    (three projections and the output pass per head) stream compressed
-    tiles.  With a dense spec this returns the dense breakdown exactly.
-    """
-    if model.head_dim != acc.sa_cols:
-        raise ScheduleError("model head dim must match SA columns")
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    k_w = spec.effective_depth(d_model)
-    over = spec.pass_overhead_cycles(d_model)
-    qkt_passes = -(-s // acc.sa_cols)
-    active = h * (3 * k_w + qkt_passes * acc.sa_cols + s) + h * k_w
-    passes = h * (4 + qkt_passes) + h
-    weight_passes = 4 * h
-    issue = (passes * acc.pass_issue_cycles
-             + weight_passes * acc.weight_load_cycles
-             + weight_passes * over)
-    skew_full = _skew_and_drain(acc, acc.sa_cols)
-    if acc.pass_overlap:
-        break_passes = 2 * h + 2
-        if acc.single_ported_buffers:
-            break_passes += h * (qkt_passes - 1) + (h - 1)
-    else:
-        break_passes = passes
-    skew = break_passes * skew_full
-    abft = _abft_exposure(acc, passes, break_passes)
-    softmax_exposed = s + acc.softmax_pipeline_depth
-    # The V projection is a chained pass; its compressed busy time is
-    # the only SA work hiding the softmax tail before P V may start.
-    v_busy = _compressed_weight_pass_busy(acc, spec, d_model, False)
-    if mem is not None and not mem.is_unlimited:
-        mem_stall, stall = _compressed_mha_memsys_stalls(
-            model, acc, spec, mem
-        )
-    else:
-        mem_stall = 0
-        stall = h * max(0, softmax_exposed - v_busy)
-    layernorm = _layernorm_tail(acc, d_model)
-    total = active + issue + skew + stall + layernorm + abft + mem_stall
-    return CycleBreakdown(
-        active_cycles=active,
-        issue_cycles=issue,
-        skew_cycles=skew,
-        softmax_stall_cycles=stall,
-        abft_cycles=abft,
-        memsys_stall_cycles=mem_stall,
-        layernorm_cycles=layernorm,
-        total_cycles=total,
-        ideal_cycles=model.mha_macs(s) // acc.num_pes,
-    )
+    """``mha_cycle_breakdown(model, acc, mem, spec)``."""
+    return mha_cycle_breakdown(model, acc, mem, spec)
 
 
 def compressed_ffn_breakdown(
@@ -234,49 +38,5 @@ def compressed_ffn_breakdown(
     spec: CompressionSpec,
     mem: Optional[MemoryConfig] = None,
 ) -> CycleBreakdown:
-    """Analytic cycle count of one compressed FFN ResBlock.
-
-    All ``d_ff/64`` W1 and ``d_model/64`` W2 passes stream compressed
-    tiles; W1 passes reduce over ``effective_depth(d_model)``, W2
-    passes over ``effective_depth(d_ff)``.
-    """
-    if model.head_dim != acc.sa_cols:
-        raise ScheduleError("model head dim must match SA columns")
-    d_model = model.d_model
-    d_ff = model.d_ff
-    k1 = spec.effective_depth(d_model)
-    k2 = spec.effective_depth(d_ff)
-    over1 = spec.pass_overhead_cycles(d_model)
-    over2 = spec.pass_overhead_cycles(d_ff)
-    num_w1 = d_ff // acc.sa_cols
-    num_w2 = d_model // acc.sa_cols
-    active = num_w1 * k1 + num_w2 * k2
-    passes = num_w1 + num_w2
-    issue = (passes * (acc.pass_issue_cycles + acc.weight_load_cycles)
-             + num_w1 * over1 + num_w2 * over2)
-    skew_full = _skew_and_drain(acc, acc.sa_cols)
-    if acc.pass_overlap:
-        if acc.single_ported_buffers:
-            break_passes = passes
-        else:
-            break_passes = 2              # first pass + the W1->W2 break
-    else:
-        break_passes = passes
-    skew = break_passes * skew_full
-    abft = _abft_exposure(acc, passes, break_passes)
-    layernorm = _layernorm_tail(acc, d_model)
-    mem_stall = (
-        _compressed_ffn_memsys_stalls(model, acc, spec, mem)
-        if mem is not None and not mem.is_unlimited else 0
-    )
-    total = active + issue + skew + layernorm + abft + mem_stall
-    return CycleBreakdown(
-        active_cycles=active,
-        issue_cycles=issue,
-        skew_cycles=skew,
-        abft_cycles=abft,
-        memsys_stall_cycles=mem_stall,
-        layernorm_cycles=layernorm,
-        total_cycles=total,
-        ideal_cycles=model.ffn_macs(acc.seq_len) // acc.num_pes,
-    )
+    """``ffn_cycle_breakdown(model, acc, mem, spec)``."""
+    return ffn_cycle_breakdown(model, acc, mem, spec)

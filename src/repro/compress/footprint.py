@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import AcceleratorConfig, CompressionSpec, ModelConfig
-from .cycle_model import (
-    _compressed_weight_pass_busy,
-    compressed_ffn_tile_bytes,
-    compressed_mha_tile_bytes,
+from ..core.cycle_model import (
+    DENSE,
+    ffn_tile_bytes,
+    mha_tile_bytes,
+    weight_pass_busy_cycles,
 )
 
 
@@ -30,14 +31,14 @@ def mha_weight_bytes(
 ) -> int:
     """Compressed bytes of one MHA ResBlock's W_Q/K/V/G set."""
     tiles_per_matrix = model.d_model // acc.sa_cols
-    return 4 * tiles_per_matrix * compressed_mha_tile_bytes(model, acc, spec)
+    return 4 * tiles_per_matrix * mha_tile_bytes(model, acc, spec)
 
 
 def ffn_weight_bytes(
     model: ModelConfig, acc: AcceleratorConfig, spec: CompressionSpec
 ) -> int:
     """Compressed bytes of one FFN ResBlock's W1/W2 set."""
-    w1_tile, w2_tile = compressed_ffn_tile_bytes(model, acc, spec)
+    w1_tile, w2_tile = ffn_tile_bytes(model, acc, spec)
     return (model.num_w1_blocks * w1_tile + model.num_w2_blocks * w2_tile)
 
 
@@ -100,24 +101,23 @@ def footprint_report(
     """Full footprint accounting for one spec at one operating point."""
     from ..memsys.cache import default_weight_cache_bytes
 
-    dense = CompressionSpec()
     mha = mha_weight_bytes(model, acc, spec)
     ffn = ffn_weight_bytes(model, acc, spec)
-    dense_mha = mha_weight_bytes(model, acc, dense)
-    dense_ffn = ffn_weight_bytes(model, acc, dense)
+    dense_mha = mha_weight_bytes(model, acc, DENSE)
+    dense_ffn = ffn_weight_bytes(model, acc, DENSE)
     capacity = (
         default_weight_cache_bytes(model, acc)
         if cache_capacity_bytes is None else cache_capacity_bytes
     )
     layer = mha + ffn
     dense_layer = dense_mha + dense_ffn
-    busy_mha = _compressed_weight_pass_busy(
+    busy_mha = weight_pass_busy_cycles(
         acc, spec, model.d_model, acc.single_ported_buffers
     )
-    busy_ffn = _compressed_weight_pass_busy(
+    busy_ffn = weight_pass_busy_cycles(
         acc, spec, model.d_ff, acc.single_ported_buffers
     )
-    w1_tile, w2_tile = compressed_ffn_tile_bytes(model, acc, spec)
+    w1_tile, w2_tile = ffn_tile_bytes(model, acc, spec)
     return FootprintReport(
         spec_label=spec.label,
         mha_bytes=mha,
@@ -129,7 +129,7 @@ def footprint_report(
         layers_resident=capacity // layer,
         dense_layers_resident=capacity // dense_layer,
         mha_crossover_gbps=_crossover_gbps(
-            compressed_mha_tile_bytes(model, acc, spec), busy_mha,
+            mha_tile_bytes(model, acc, spec), busy_mha,
             acc.clock_mhz,
         ),
         ffn_crossover_gbps=max(

@@ -1,23 +1,9 @@
-"""Event-timeline schedules for compressed MHA/FFN ResBlocks.
+"""Compressed MHA/FFN timelines: forwards to :mod:`repro.core.scheduler`.
 
-Mirrors :func:`repro.core.scheduler.schedule_mha` / ``schedule_ffn``
-pass-for-pass, with the weight-streaming passes priced under a
-:class:`~repro.config.CompressionSpec`:
-
-* the pass's active cycles become ``spec.effective_depth(k)`` (N:M
-  sparsity skips whole zero row-groups; circulant streaming regenerates
-  every row, so its depth is unchanged);
-* the pass pays ``spec.pass_overhead_cycles(k)`` of extra control
-  overhead (circulant row-generator seed loads / N:M index decode),
-  charged through ``_Timeline.sa_pass(extra_overhead=...)``;
-* the weight tile's off-chip footprint becomes
-  ``spec.weight_tile_bytes(...)``, so a finite memory system fetches
-  less and stalls less.
-
-Activation-only passes (``Q K^T``, ``softmax x Temp2``) and the softmax
-and LayerNorm modules are untouched — compression applies to stored
-weights only.  A dense spec (compression ratio 1.0) reproduces the
-uncompressed timeline bit-for-bit, event names included.
+A compressed weight pass is the dense pass priced under a
+:class:`~repro.config.CompressionSpec`, so
+:func:`~repro.core.scheduler.schedule_mha` / ``schedule_ffn`` take the
+spec directly.  These names keep the spec-first call order.
 """
 
 from __future__ import annotations
@@ -30,10 +16,7 @@ from ..config import (
     MemoryConfig,
     ModelConfig,
 )
-from ..core.layernorm_module import LayerNormModule
-from ..core.partition import plan_qkt
-from ..core.scheduler import ScheduleResult, _record, _Timeline, _validate
-from ..core.softmax_module import SoftmaxModule
+from ..core.scheduler import ScheduleResult, schedule_ffn, schedule_mha
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
@@ -46,78 +29,8 @@ def schedule_compressed_mha(
     mem: Optional[MemoryConfig] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> ScheduleResult:
-    """Timeline of one MHA ResBlock with compressed weight matrices.
-
-    The four weight passes per head (``Q W_Qi``, ``K W_Ki``, ``V W_Vi``
-    and the output pass ``G_i``) stream compressed d_model-deep tiles;
-    everything else matches :func:`repro.core.scheduler.schedule_mha`.
-    """
-    _validate(model, acc)
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    k_w = spec.effective_depth(d_model)
-    over = spec.pass_overhead_cycles(d_model)
-    timeline = _Timeline(acc, mem, registry, "mha")
-    softmax = SoftmaxModule(acc)
-    layernorm = LayerNormModule(acc, d_model)
-    tile = spec.weight_tile_bytes(d_model, acc.sa_cols, acc.weight_bits)
-
-    for i in range(h):
-        timeline.sa_pass(
-            f"head{i}.QWq", k=k_w, input_buffer="input_q",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        k_proj = timeline.sa_pass(
-            f"head{i}.KWk", k=k_w, input_buffer="input_kv",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        qkt_plan = plan_qkt(s, acc.sa_cols)
-        qkt = None
-        for chunk in range(qkt_plan.num_passes):
-            qkt = timeline.sa_pass(
-                f"head{i}.QKt{chunk}" if qkt_plan.num_passes > 1
-                else f"head{i}.QKt",
-                k=acc.sa_cols, n=acc.sa_cols,
-                input_buffer="temp1",
-                dependency_break=(chunk == 0), not_before=k_proj.end,
-                loads_weights=False,
-            )
-        sm_timing = softmax.timing(s)
-        sm_event = timeline.module_event(
-            f"head{i}.softmax", "softmax", qkt.end,
-            sm_timing.exposed_after_input,
-        )
-        v_proj = timeline.sa_pass(
-            f"head{i}.VWv", k=k_w, input_buffer="input_kv",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        timeline.sa_pass(
-            f"head{i}.PV", k=s,
-            input_buffer="temp1",
-            dependency_break=True,
-            not_before=max(sm_event.end, v_proj.end),
-            loads_weights=False,
-        )
-    for i in range(h):
-        timeline.sa_pass(
-            f"out.GW{i}", k=k_w, input_buffer="p_buffer",
-            dependency_break=(i == 0),
-            tile_bytes=tile, extra_overhead=over,
-        )
-    last_g = timeline.sa_free
-    ln_timing = layernorm.timing()
-    ln_event = timeline.module_event(
-        "layernorm", "layernorm", last_g, ln_timing.total_exposed
-    )
-
-    result = ScheduleResult(block="mha", events=timeline.events)
-    result.total_cycles = ln_event.end
-    result.ideal_sa_cycles = model.mha_macs(s) // acc.num_pes
-    result.memsys_stall_cycles = timeline.memsys_stall
-    result.compress_overhead_cycles = timeline.compress_overhead
-    _record(result, registry)
-    return result
+    """``schedule_mha(model, acc, mem, registry, spec)``."""
+    return schedule_mha(model, acc, mem, registry, spec)
 
 
 def schedule_compressed_ffn(
@@ -127,47 +40,5 @@ def schedule_compressed_ffn(
     mem: Optional[MemoryConfig] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> ScheduleResult:
-    """Timeline of one FFN ResBlock with compressed W1/W2 matrices.
-
-    Every pass streams a weight tile, so every pass is compressed: W1
-    passes reduce over ``effective_depth(d_model)``, W2 passes over
-    ``effective_depth(d_ff)``.
-    """
-    _validate(model, acc)
-    d_model = model.d_model
-    d_ff = model.d_ff
-    k1 = spec.effective_depth(d_model)
-    k2 = spec.effective_depth(d_ff)
-    over1 = spec.pass_overhead_cycles(d_model)
-    over2 = spec.pass_overhead_cycles(d_ff)
-    timeline = _Timeline(acc, mem, registry, "ffn")
-    layernorm = LayerNormModule(acc, d_model)
-    w1_tile = spec.weight_tile_bytes(d_model, acc.sa_cols, acc.weight_bits)
-    w2_tile = spec.weight_tile_bytes(d_ff, acc.sa_cols, acc.weight_bits)
-
-    num_w1 = d_ff // acc.sa_cols
-    for i in range(num_w1):
-        timeline.sa_pass(
-            f"w1.{i}", k=k1, input_buffer="input_q",
-            tile_bytes=w1_tile, extra_overhead=over1,
-        )
-    num_w2 = d_model // acc.sa_cols
-    for i in range(num_w2):
-        timeline.sa_pass(
-            f"w2.{i}", k=k2, input_buffer="p_buffer",
-            dependency_break=(i == 0),
-            tile_bytes=w2_tile, extra_overhead=over2,
-        )
-    last_g = timeline.sa_free
-    ln_timing = layernorm.timing()
-    ln_event = timeline.module_event(
-        "layernorm", "layernorm", last_g, ln_timing.total_exposed
-    )
-
-    result = ScheduleResult(block="ffn", events=timeline.events)
-    result.total_cycles = ln_event.end
-    result.ideal_sa_cycles = model.ffn_macs(acc.seq_len) // acc.num_pes
-    result.memsys_stall_cycles = timeline.memsys_stall
-    result.compress_overhead_cycles = timeline.compress_overhead
-    _record(result, registry)
-    return result
+    """``schedule_ffn(model, acc, mem, registry, spec)``."""
+    return schedule_ffn(model, acc, mem, registry, spec)

@@ -31,10 +31,10 @@ from ..config import (
     circulant_spec,
     nm_sparse_spec,
 )
+from ..core.cycle_model import ffn_cycle_breakdown, mha_cycle_breakdown
+from ..core.scheduler import schedule_ffn, schedule_mha
 from ..errors import ScheduleError
-from .cycle_model import compressed_ffn_breakdown, compressed_mha_breakdown
 from .footprint import FootprintReport, footprint_report
-from .schedule import schedule_compressed_ffn, schedule_compressed_mha
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
@@ -133,16 +133,15 @@ def sweep_point(
     mem: Optional[MemoryConfig] = None,
 ) -> CompressPoint:
     """Price one spec (cycles + footprint; no quality/serving terms)."""
-    mha = schedule_compressed_mha(model, acc, spec, mem)
-    ffn = schedule_compressed_ffn(model, acc, spec, mem)
-    dense = CompressionSpec()
-    dense_mha = schedule_compressed_mha(model, acc, dense, mem)
-    dense_ffn = schedule_compressed_ffn(model, acc, dense, mem)
+    mha = schedule_mha(model, acc, mem, spec=spec)
+    ffn = schedule_ffn(model, acc, mem, spec=spec)
+    dense_mha = schedule_mha(model, acc, mem)
+    dense_ffn = schedule_ffn(model, acc, mem)
     # Cross-check the closed form at every swept point (the property
     # tests do this across random configs; the sweep asserts it on the
     # exact points it reports).
-    bd_mha = compressed_mha_breakdown(model, acc, spec, mem)
-    bd_ffn = compressed_ffn_breakdown(model, acc, spec, mem)
+    bd_mha = mha_cycle_breakdown(model, acc, mem, spec)
+    bd_ffn = ffn_cycle_breakdown(model, acc, mem, spec)
     assert bd_mha.total_cycles == mha.total_cycles
     assert bd_ffn.total_cycles == ffn.total_cycles
     layer = mha.total_cycles + ffn.total_cycles

@@ -10,8 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..config import AcceleratorConfig, MemoryConfig, ModelConfig
+from ..config import (
+    AcceleratorConfig,
+    CompressionSpec,
+    MemoryConfig,
+    ModelConfig,
+)
 from ..errors import ScheduleError
+
+#: The uncompressed weight format, every breakdown's default ``spec``.
+DENSE = CompressionSpec()
 
 #: Published Section V-B results for Transformer-base, s = 64, batch 1.
 PAPER_MHA_CYCLES = 21_344
@@ -129,22 +137,50 @@ def pass_busy_cycles(
     return busy
 
 
-def mha_tile_bytes(model: ModelConfig, acc: AcceleratorConfig) -> int:
+def weight_pass_busy_cycles(
+    acc: AcceleratorConfig,
+    spec: CompressionSpec,
+    k: int,
+    break_pass: bool,
+) -> int:
+    """SA-busy cycles of one ``k``-deep weight pass under ``spec``.
+
+    The pass streams ``spec.effective_depth(k)`` rows and pays
+    ``spec.pass_overhead_cycles(k)`` of row-generator / index-decode
+    control on top of :func:`pass_busy_cycles`; under :data:`DENSE`
+    it is exactly ``pass_busy_cycles(acc, k, True, break_pass)``.
+    """
+    return (
+        pass_busy_cycles(acc, spec.effective_depth(k), True, break_pass)
+        + spec.pass_overhead_cycles(k)
+    )
+
+
+def mha_tile_bytes(
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    spec: CompressionSpec = DENSE,
+) -> int:
     """Bytes of one 64-column MHA weight tile (W_Q/K/V/G are d_model-deep)."""
-    return model.d_model * acc.sa_cols * acc.weight_bits // 8
+    return spec.weight_tile_bytes(model.d_model, acc.sa_cols, acc.weight_bits)
 
 
 def ffn_tile_bytes(
-    model: ModelConfig, acc: AcceleratorConfig
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    spec: CompressionSpec = DENSE,
 ) -> tuple[int, int]:
     """Bytes of one 64-column W1 tile and one W2 tile."""
-    w1 = model.d_model * acc.sa_cols * acc.weight_bits // 8
-    w2 = model.d_ff * acc.sa_cols * acc.weight_bits // 8
+    w1 = spec.weight_tile_bytes(model.d_model, acc.sa_cols, acc.weight_bits)
+    w2 = spec.weight_tile_bytes(model.d_ff, acc.sa_cols, acc.weight_bits)
     return w1, w2
 
 
 def _mha_memsys_stalls(
-    model: ModelConfig, acc: AcceleratorConfig, mem: MemoryConfig
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    mem: MemoryConfig,
+    spec: CompressionSpec,
 ) -> tuple[int, int]:
     """(memsys stall, softmax stall) of one MHA ResBlock.
 
@@ -153,22 +189,26 @@ def _mha_memsys_stalls(
     stalls its pass by ``max(0, F - gap)`` where ``gap`` is the SA time
     between consecutive weight-pass starts.  A stall on ``V W_Vi``
     also absorbs part of the softmax tail the ``P V`` pass would have
-    waited for, so the two terms are coupled per head.
+    waited for, so the two terms are coupled per head.  Weight passes
+    and tile fetches are priced under ``spec``; the activation passes
+    (``Q K^T``, ``P V``) keep their dense busy times.
     """
     s = acc.seq_len
     h = model.num_heads
     d_model = model.d_model
     qkt_passes = -(-s // acc.sa_cols)
     exposed = s + acc.softmax_pipeline_depth
-    b_chain = pass_busy_cycles(acc, d_model, True, False)
-    fetch = mem.transfer_cycles(mha_tile_bytes(model, acc), acc.clock_mhz)
+    b_chain = weight_pass_busy_cycles(acc, spec, d_model, False)
+    fetch = mem.transfer_cycles(
+        mha_tile_bytes(model, acc, spec), acc.clock_mhz
+    )
     if not mem.double_buffered_prefetch:
         # Every weight pass waits for its own tile; the V-projection's
         # wait doubles as cover for the softmax tail.
         mem_stall = 4 * h * fetch
         sm_stall = h * max(0, exposed - b_chain - fetch)
         return mem_stall, sm_stall
-    b_first = pass_busy_cycles(acc, d_model, True, True)
+    b_first = weight_pass_busy_cycles(acc, spec, d_model, True)
     b_qkt0 = pass_busy_cycles(acc, acc.sa_cols, False, True)
     b_qktx = pass_busy_cycles(
         acc, acc.sa_cols, False, acc.single_ported_buffers
@@ -192,9 +232,9 @@ def _mha_memsys_stalls(
     gap_g0 = max(b_chain, exposed - stall_v) + b_pv
     mem_stall += max(0, fetch - gap_g0)
     if h >= 2:
-        b_g0 = pass_busy_cycles(acc, d_model, True, True)
-        b_gx = pass_busy_cycles(
-            acc, d_model, True, acc.single_ported_buffers
+        b_g0 = weight_pass_busy_cycles(acc, spec, d_model, True)
+        b_gx = weight_pass_busy_cycles(
+            acc, spec, d_model, acc.single_ported_buffers
         )
         mem_stall += max(0, fetch - b_g0)
         mem_stall += (h - 2) * max(0, fetch - b_gx)
@@ -202,23 +242,26 @@ def _mha_memsys_stalls(
 
 
 def _ffn_memsys_stalls(
-    model: ModelConfig, acc: AcceleratorConfig, mem: MemoryConfig
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    mem: MemoryConfig,
+    spec: CompressionSpec,
 ) -> int:
     """Memsys stall of one FFN ResBlock (same recursion, linear chain)."""
-    w1_bytes, w2_bytes = ffn_tile_bytes(model, acc)
+    w1_bytes, w2_bytes = ffn_tile_bytes(model, acc, spec)
     fetch1 = mem.transfer_cycles(w1_bytes, acc.clock_mhz)
     fetch2 = mem.transfer_cycles(w2_bytes, acc.clock_mhz)
     num_w1 = model.d_ff // acc.sa_cols
     num_w2 = model.d_model // acc.sa_cols
     if not mem.double_buffered_prefetch:
         return num_w1 * fetch1 + num_w2 * fetch2
-    b1_first = pass_busy_cycles(acc, model.d_model, True, True)
-    b1_other = pass_busy_cycles(
-        acc, model.d_model, True, acc.single_ported_buffers
+    b1_first = weight_pass_busy_cycles(acc, spec, model.d_model, True)
+    b1_other = weight_pass_busy_cycles(
+        acc, spec, model.d_model, acc.single_ported_buffers
     )
-    b2_first = pass_busy_cycles(acc, model.d_ff, True, True)
-    b2_other = pass_busy_cycles(
-        acc, model.d_ff, True, acc.single_ported_buffers
+    b2_first = weight_pass_busy_cycles(acc, spec, model.d_ff, True)
+    b2_other = weight_pass_busy_cycles(
+        acc, spec, model.d_ff, acc.single_ported_buffers
     )
     stall = fetch1                       # cold start on w1.0
     if num_w1 >= 2:
@@ -236,6 +279,7 @@ def mha_cycle_breakdown(
     model: ModelConfig,
     acc: AcceleratorConfig,
     mem: Optional[MemoryConfig] = None,
+    spec: CompressionSpec = DENSE,
 ) -> CycleBreakdown:
     """Analytic cycle count of one MHA ResBlock.
 
@@ -255,21 +299,29 @@ def mha_cycle_breakdown(
     (``softmax_stall_cycles``).  At the paper's operating point the
     stall is zero, which is exactly its claim that the softmax "hardly
     stops" the array.
+
+    The ``4h`` weight passes are priced under ``spec``
+    (:func:`weight_pass_busy_cycles`): their compressed depth lands in
+    ``active_cycles`` and their row-generator / index-decode overhead
+    in ``issue_cycles``, so a compressed breakdown needs no extra
+    field.  ``ideal_cycles`` stays the dense MAC bound.
     """
     if model.head_dim != acc.sa_cols:
         raise ScheduleError("model head dim must match SA columns")
     s = acc.seq_len
     h = model.num_heads
     d_model = model.d_model
+    k_w = spec.effective_depth(d_model)
     qkt_passes = -(-s // acc.sa_cols)
-    active = h * (3 * d_model + qkt_passes * acc.sa_cols + s) + h * d_model
+    active = h * (3 * k_w + qkt_passes * acc.sa_cols + s) + h * k_w
     passes = h * (4 + qkt_passes) + h
     # Only weight-streaming passes pay the weight fetch: the three
     # projections and the G pass per head.  Q K^T and the softmax x Temp2
     # product read both operands from Data Memory.
     weight_passes = 4 * h
     issue = (passes * acc.pass_issue_cycles
-             + weight_passes * acc.weight_load_cycles)
+             + weight_passes * (acc.weight_load_cycles
+                                + spec.pass_overhead_cycles(d_model)))
     skew_full = _skew_and_drain(acc, acc.sa_cols)
     if acc.pass_overlap:
         # Breaks: first QKt chunk and PV per head, the first pass overall,
@@ -282,27 +334,17 @@ def mha_cycle_breakdown(
         break_passes = passes
     skew = break_passes * skew_full
     abft = _abft_exposure(acc, passes, break_passes)
-    # The PV pass waits for the softmax output (s second-pass columns +
-    # pipeline tail after the last QKt drain column); the V projection
-    # is the only SA work hiding that wait.
-    softmax_exposed = s + acc.softmax_pipeline_depth
-    v_busy = acc.pass_issue_cycles + acc.weight_load_cycles + d_model
-    if acc.pass_overlap:
-        if acc.abft_protected:
-            # V W_Vi is a chained (non-break) pass: with ABFT it exposes
-            # its drain and comparator tail, covering more of the wait.
-            v_busy += acc.sa_drain_cycles + acc.abft_check_cycles
-    else:
-        v_busy += skew_full
-        if acc.abft_protected:
-            v_busy += acc.abft_check_cycles
     if mem is not None and not mem.is_unlimited:
         # A weight-tile stall on V W_Vi also covers part of the softmax
         # tail, so both terms come from the coupled recursion.
-        mem_stall, stall = _mha_memsys_stalls(model, acc, mem)
+        mem_stall, stall = _mha_memsys_stalls(model, acc, mem, spec)
     else:
+        # The PV pass waits for the softmax output (s second-pass
+        # columns + pipeline tail after the last QKt drain column); the
+        # chained V projection is the only SA work hiding that wait.
         mem_stall = 0
-        stall = h * max(0, softmax_exposed - v_busy)
+        v_busy = weight_pass_busy_cycles(acc, spec, d_model, False)
+        stall = h * max(0, s + acc.softmax_pipeline_depth - v_busy)
     layernorm = _layernorm_tail(acc, d_model)
     total = active + issue + skew + stall + layernorm + abft + mem_stall
     return CycleBreakdown(
@@ -322,12 +364,14 @@ def ffn_cycle_breakdown(
     model: ModelConfig,
     acc: AcceleratorConfig,
     mem: Optional[MemoryConfig] = None,
+    spec: CompressionSpec = DENSE,
 ) -> CycleBreakdown:
     """Analytic cycle count of one FFN ResBlock.
 
     ``4h`` d_model-deep W1 passes then ``h`` d_ff-deep W2 passes; with
     single-ported buffers every pass pays skew (W1 passes all stream X,
-    W2 passes all stream P).
+    W2 passes all stream P).  Every pass streams weights, so every pass
+    is priced under ``spec`` (see :func:`mha_cycle_breakdown`).
     """
     if model.head_dim != acc.sa_cols:
         raise ScheduleError("model head dim must match SA columns")
@@ -336,9 +380,12 @@ def ffn_cycle_breakdown(
     d_ff = model.d_ff
     num_w1 = d_ff // acc.sa_cols
     num_w2 = d_model // acc.sa_cols
-    active = num_w1 * d_model + num_w2 * d_ff
+    active = (num_w1 * spec.effective_depth(d_model)
+              + num_w2 * spec.effective_depth(d_ff))
     passes = num_w1 + num_w2
-    issue = passes * (acc.pass_issue_cycles + acc.weight_load_cycles)
+    issue = (passes * (acc.pass_issue_cycles + acc.weight_load_cycles)
+             + num_w1 * spec.pass_overhead_cycles(d_model)
+             + num_w2 * spec.pass_overhead_cycles(d_ff))
     skew_full = _skew_and_drain(acc, acc.sa_cols)
     if acc.pass_overlap:
         if acc.single_ported_buffers:
@@ -351,7 +398,7 @@ def ffn_cycle_breakdown(
     abft = _abft_exposure(acc, passes, break_passes)
     layernorm = _layernorm_tail(acc, d_model)
     mem_stall = (
-        _ffn_memsys_stalls(model, acc, mem)
+        _ffn_memsys_stalls(model, acc, mem, spec)
         if mem is not None and not mem.is_unlimited else 0
     )
     total = active + issue + skew + layernorm + abft + mem_stall

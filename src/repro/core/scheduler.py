@@ -32,6 +32,16 @@ only; see DESIGN.md):
   when the pass would otherwise have hidden the drain behind the next
   pass's fill (an unverified tile may not be consumed; see
   :mod:`repro.reliability.abft`).
+
+Weight-streaming passes are priced under a
+:class:`~repro.config.CompressionSpec` (``spec``, dense by default): a
+compressed pass streams ``spec.effective_depth(k)`` active cycles
+(N:M sparsity skips zero row-groups; circulant streaming regenerates
+every row), pays ``spec.pass_overhead_cycles(k)`` of row-generator /
+index-decode control, and fetches a ``spec.weight_tile_bytes(...)``
+tile.  Activation-only passes and the softmax/LayerNorm modules are
+unaffected, and any ratio-1.0 spec reproduces the dense timeline event
+for event.
 """
 
 from __future__ import annotations
@@ -39,13 +49,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..config import AcceleratorConfig, MemoryConfig, ModelConfig
+from ..config import (
+    AcceleratorConfig,
+    CompressionSpec,
+    MemoryConfig,
+    ModelConfig,
+)
 from ..errors import ScheduleError
 from ..memsys.prefetch import TilePrefetcher
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
-from .cycle_model import ffn_tile_bytes, mha_tile_bytes
+from .cycle_model import DENSE, ffn_tile_bytes, mha_tile_bytes
 from .layernorm_module import LayerNormModule
 from .partition import plan_qkt
 from .softmax_module import SoftmaxModule
@@ -267,10 +282,6 @@ class _Timeline:
 
 
 def _validate(model: ModelConfig, acc: AcceleratorConfig) -> None:
-    if acc.seq_len > model.max_seq_len and model.max_seq_len < acc.seq_len:
-        # The SA row count is the hardware's max sequence length; a model
-        # with a smaller max_seq_len still runs (rows are zero padded).
-        pass
     if model.head_dim != acc.sa_cols:
         raise ScheduleError(
             f"SA has {acc.sa_cols} columns but the model's head dim is "
@@ -299,6 +310,7 @@ def schedule_mha(
     acc: AcceleratorConfig,
     mem: Optional[MemoryConfig] = None,
     registry: Optional[MetricsRegistry] = None,
+    spec: CompressionSpec = DENSE,
 ) -> ScheduleResult:
     """Timeline of one MHA ResBlock (Algorithm 1, lines 1-13).
 
@@ -307,25 +319,29 @@ def schedule_mha(
     buffered, the fetch overlaps the previous pass and only its excess
     stalls the SA (:mod:`repro.memsys`).  With a ``registry`` the
     finished timeline is recorded through
-    :func:`repro.telemetry.instrument.record_schedule`.
+    :func:`repro.telemetry.instrument.record_schedule`.  The four weight
+    passes per head (``Q W_Qi``, ``K W_Ki``, ``V W_Vi`` and ``G_i``)
+    are priced under ``spec``.
     """
     _validate(model, acc)
     s = acc.seq_len
     h = model.num_heads
     d_model = model.d_model
+    k_w = spec.effective_depth(d_model)
+    over = spec.pass_overhead_cycles(d_model)
     timeline = _Timeline(acc, mem, registry, "mha")
     softmax = SoftmaxModule(acc)
     layernorm = LayerNormModule(acc, d_model)
-    tile = mha_tile_bytes(model, acc)
+    tile = mha_tile_bytes(model, acc, spec)
 
     for i in range(h):
         timeline.sa_pass(
-            f"head{i}.QWq", k=d_model, input_buffer="input_q",
-            tile_bytes=tile,
+            f"head{i}.QWq", k=k_w, input_buffer="input_q",
+            tile_bytes=tile, extra_overhead=over,
         )
         k_proj = timeline.sa_pass(
-            f"head{i}.KWk", k=d_model, input_buffer="input_kv",
-            tile_bytes=tile,
+            f"head{i}.KWk", k=k_w, input_buffer="input_kv",
+            tile_bytes=tile, extra_overhead=over,
         )
         # Q_i K_i^T consumes the drained Temp1/Temp2 of the projections.
         # For s > 64, Q_i is partitioned into 64-row chunks (Section III)
@@ -350,8 +366,8 @@ def schedule_mha(
             sm_timing.exposed_after_input,
         )
         v_proj = timeline.sa_pass(
-            f"head{i}.VWv", k=d_model, input_buffer="input_kv",
-            tile_bytes=tile,
+            f"head{i}.VWv", k=k_w, input_buffer="input_kv",
+            tile_bytes=tile, extra_overhead=over,
         )
         # P_i = softmax_out x Temp2 reduces over all s softmax columns and
         # needs both the softmax output and the drained V projection.
@@ -364,9 +380,9 @@ def schedule_mha(
         )
     for i in range(h):
         timeline.sa_pass(
-            f"out.GW{i}", k=d_model, input_buffer="p_buffer",
+            f"out.GW{i}", k=k_w, input_buffer="p_buffer",
             dependency_break=(i == 0),
-            tile_bytes=tile,
+            tile_bytes=tile, extra_overhead=over,
         )
     last_g = timeline.sa_free
     ln_timing = layernorm.timing()
@@ -378,6 +394,7 @@ def schedule_mha(
     result.total_cycles = ln_event.end
     result.ideal_sa_cycles = model.mha_macs(s) // acc.num_pes
     result.memsys_stall_cycles = timeline.memsys_stall
+    result.compress_overhead_cycles = timeline.compress_overhead
     _record(result, registry)
     return result
 
@@ -387,31 +404,40 @@ def schedule_ffn(
     acc: AcceleratorConfig,
     mem: Optional[MemoryConfig] = None,
     registry: Optional[MetricsRegistry] = None,
+    spec: CompressionSpec = DENSE,
 ) -> ScheduleResult:
-    """Timeline of one FFN ResBlock (Algorithm 1, lines 14-22)."""
+    """Timeline of one FFN ResBlock (Algorithm 1, lines 14-22).
+
+    Every pass streams a weight tile, so every pass is priced under
+    ``spec``: W1 passes reduce over ``effective_depth(d_model)``, W2
+    passes over ``effective_depth(d_ff)``.
+    """
     _validate(model, acc)
     s = acc.seq_len
-    h = model.num_heads
     d_model = model.d_model
     d_ff = model.d_ff
+    k1 = spec.effective_depth(d_model)
+    k2 = spec.effective_depth(d_ff)
+    over1 = spec.pass_overhead_cycles(d_model)
+    over2 = spec.pass_overhead_cycles(d_ff)
     timeline = _Timeline(acc, mem, registry, "ffn")
     layernorm = LayerNormModule(acc, d_model)
-    w1_tile, w2_tile = ffn_tile_bytes(model, acc)
+    w1_tile, w2_tile = ffn_tile_bytes(model, acc, spec)
 
     num_w1 = d_ff // acc.sa_cols
     for i in range(num_w1):
         timeline.sa_pass(
-            f"w1.{i}", k=d_model, input_buffer="input_q",
-            tile_bytes=w1_tile,
+            f"w1.{i}", k=k1, input_buffer="input_q",
+            tile_bytes=w1_tile, extra_overhead=over1,
         )
     # Every W2 pass reduces over the entire P buffer, so the first one must
     # wait for the last W1 pass to drain.
     num_w2 = d_model // acc.sa_cols
     for i in range(num_w2):
         timeline.sa_pass(
-            f"w2.{i}", k=d_ff, input_buffer="p_buffer",
+            f"w2.{i}", k=k2, input_buffer="p_buffer",
             dependency_break=(i == 0),
-            tile_bytes=w2_tile,
+            tile_bytes=w2_tile, extra_overhead=over2,
         )
     last_g = timeline.sa_free
     ln_timing = layernorm.timing()
@@ -423,6 +449,7 @@ def schedule_ffn(
     result.total_cycles = ln_event.end
     result.ideal_sa_cycles = model.ffn_macs(s) // acc.num_pes
     result.memsys_stall_cycles = timeline.memsys_stall
+    result.compress_overhead_cycles = timeline.compress_overhead
     _record(result, registry)
     return result
 

@@ -36,6 +36,7 @@ from ..core.cycle_model import ffn_cycle_breakdown
 from ..core.trace import TraceSpan, counter_events, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import stream_trace
+from ..serving.metrics import percentile
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
 
@@ -161,9 +162,8 @@ def sample_decode_streams(decode: DecodeConfig) -> list[DecodeStream]:
 
 
 def _percentile(values: list, q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values), q))
+    """Nearest-rank percentile, 0.0 for an empty sample."""
+    return percentile(values, q) if values else 0.0
 
 
 class _CostModel:

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..compress.footprint import ffn_weight_bytes, mha_weight_bytes
 from ..config import AcceleratorConfig, CompressionSpec, ModelConfig
+from ..core.cycle_model import DENSE
 from ..core.model_runner import model_reload_cycles
 from ..core.scheduler import schedule_ffn, schedule_mha
 from ..errors import ServingError
@@ -72,9 +74,9 @@ class BatchCostModel:
       weights resident);
     * the ideal-MAC cycle count used for utilization accounting.
 
-    With a ``compression`` spec the per-ResBlock totals come from the
-    compressed schedules (:mod:`repro.compress.schedule`) and the
-    ResBlock weight sets shrink to their compressed footprint, so the
+    With a ``compression`` spec the per-ResBlock schedules price their
+    weight passes under it and the ResBlock weight sets shrink to their
+    compressed footprint (:mod:`repro.compress.footprint`), so the
     reload/cache traffic and throughput both feel the compression.
     """
 
@@ -88,19 +90,11 @@ class BatchCostModel:
         self.model = model
         self.acc = acc
         self.compression = compression
-        if compression is not None and not compression.is_dense:
-            # Lazy import: serving stays importable without pulling the
-            # compress subsystem into every dense run.
-            from ..compress.schedule import (
-                schedule_compressed_ffn,
-                schedule_compressed_mha,
-            )
-
-            mha = schedule_compressed_mha(model, acc, compression)
-            ffn = schedule_compressed_ffn(model, acc, compression)
-        else:
-            mha = schedule_mha(model, acc)
-            ffn = schedule_ffn(model, acc)
+        spec = DENSE if compression is None else compression
+        mha = schedule_mha(model, acc, spec=spec)
+        ffn = schedule_ffn(model, acc, spec=spec)
+        self._mha_bytes = mha_weight_bytes(model, acc, spec)
+        self._ffn_bytes = ffn_weight_bytes(model, acc, spec)
         self.mha_cycles = mha.total_cycles
         self.ffn_cycles = ffn.total_cycles
         self.mha_ideal = mha.ideal_sa_cycles
@@ -131,21 +125,7 @@ class BatchCostModel:
         (MHA blocks carry the four ``d_model x d_model`` projections,
         FFN blocks ``W1`` + ``W2``).
         """
-        wb = self.acc.weight_bits
-        d = self.model.d_model
-        if self.compression is not None and not self.compression.is_dense:
-            from ..compress.footprint import (
-                ffn_weight_bytes,
-                mha_weight_bytes,
-            )
-
-            mha_bytes = mha_weight_bytes(self.model, self.acc,
-                                         self.compression)
-            ffn_bytes = ffn_weight_bytes(self.model, self.acc,
-                                         self.compression)
-        else:
-            mha_bytes = 4 * d * d * wb // 8
-            ffn_bytes = 2 * d * self.model.d_ff * wb // 8
+        mha_bytes, ffn_bytes = self._mha_bytes, self._ffn_bytes
         blocks: list[tuple[str, int, int]] = []
         for i in range(self.model.num_encoder_layers):
             blocks.append((f"enc{i}.mha", self.mha_cycles, mha_bytes))

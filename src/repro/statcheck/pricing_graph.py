@@ -2,9 +2,9 @@
 
 REP002 checks pairwise parity between :data:`UNIT_PRICING` and the
 ``CycleBreakdown`` dataclass.  This engine generalizes it to the whole
-call graph: it scans *every* scheduler in the package — dense
-(:mod:`repro.core.scheduler`), fused/decode (:mod:`repro.decode`),
-compressed (:mod:`repro.compress`), plus the memsys/ABFT paths — and
+call graph: it scans *every* scheduler in the package — dense and
+compressed (:mod:`repro.core.scheduler`), fused/decode
+(:mod:`repro.decode`), plus the memsys/ABFT paths — and
 proves three coverage properties end to end:
 
 * **every cycle-producing site is priced** — each

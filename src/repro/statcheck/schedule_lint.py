@@ -27,8 +27,16 @@ from collections.abc import Sequence
 from fnmatch import fnmatch
 from typing import Optional
 
-from ..config import AcceleratorConfig, ModelConfig, paper_accelerator, transformer_base
+from ..config import (
+    AcceleratorConfig,
+    ModelConfig,
+    circulant_spec,
+    nm_sparse_spec,
+    paper_accelerator,
+    transformer_base,
+)
 from ..core.cycle_model import (
+    DENSE,
     CycleBreakdown,
     ffn_cycle_breakdown,
     mha_cycle_breakdown,
@@ -69,6 +77,11 @@ PINNED_PAPER_POINTS: tuple[tuple[str, dict[str, int], str, int], ...] = (
     ("paper", {}, "nm24_mha", 17_482),
     ("paper", {}, "nm24_ffn", 30_860),
 )
+
+#: Weight-pass pricing of each pinned MHA/FFN block, keyed by the
+#: block's prefix (``"circ8_mha"`` -> ``"circ8"``, ``"mha"`` -> ``""``).
+_PINNED_SPECS = {"": DENSE, "circ8": circulant_spec(8),
+                "nm24": nm_sparse_spec(2, 4)}
 
 #: Span tracks that model an exclusive resource in serving traces.
 DEFAULT_EXCLUSIVE_TRACKS = ("device*", "sa", "softmax", "layernorm", "dram")
@@ -204,13 +217,7 @@ def lint_paper_points(
         point_acc = (
             base_acc.with_updates(**overrides) if overrides else base_acc
         )
-        if block == "mha":
-            result = schedule_mha(model, point_acc)
-            breakdown = mha_cycle_breakdown(model, point_acc)
-        elif block == "ffn":
-            result = schedule_ffn(model, point_acc)
-            breakdown = ffn_cycle_breakdown(model, point_acc)
-        elif block == "fused512":
+        if block == "fused512":
             # Lazy import: repro.decode builds on repro.core; pulling
             # it in at module scope would make the core lint depend on
             # the decode subsystem even when it is never checked.
@@ -224,22 +231,15 @@ def lint_paper_points(
             )
             result = schedule_decode_step(model, point_acc, 64)
             breakdown = decode_step_breakdown(model, point_acc, 64)
-        else:  # circ8_* / nm24_* — compressed weight passes
-            from ..compress import (
-                compressed_ffn_breakdown,
-                compressed_mha_breakdown,
-                schedule_compressed_ffn,
-                schedule_compressed_mha,
-            )
-            from ..config import circulant_spec, nm_sparse_spec
-            spec = (circulant_spec(8) if block.startswith("circ8")
-                    else nm_sparse_spec(2, 4))
-            if block.endswith("_mha"):
-                result = schedule_compressed_mha(model, point_acc, spec)
-                breakdown = compressed_mha_breakdown(model, point_acc, spec)
+        else:
+            prefix, _, kind = block.rpartition("_")
+            spec = _PINNED_SPECS[prefix]
+            if kind == "mha":
+                result = schedule_mha(model, point_acc, spec=spec)
+                breakdown = mha_cycle_breakdown(model, point_acc, spec=spec)
             else:
-                result = schedule_compressed_ffn(model, point_acc, spec)
-                breakdown = compressed_ffn_breakdown(model, point_acc, spec)
+                result = schedule_ffn(model, point_acc, spec=spec)
+                breakdown = ffn_cycle_breakdown(model, point_acc, spec=spec)
         findings.extend(lint_schedule(result, breakdown))
         if result.total_cycles != pinned:
             findings.append(Finding(

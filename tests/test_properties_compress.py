@@ -7,24 +7,18 @@ Three families of properties:
   exact INT8 integer arithmetic;
 * **mask validity** — an N:M pruning keeps exactly ``n`` rows per
   ``m``-row group in every 64-column tile;
-* **pricing exactness** — the compressed event-timeline scheduler and
-  the compressed closed-form cycle model agree exactly across random
-  model / accelerator / memory-system configurations, and a ratio-1.0
-  spec degenerates bit-identically to the dense schedule.
+* **pricing exactness** — the event-timeline scheduler and the
+  closed-form cycle model, both given a compression ``spec``, agree
+  exactly across random model / accelerator / memory-system
+  configurations, and a ratio-1.0 spec degenerates bit-identically to
+  the dense schedule.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress import (
-    BlockCirculantMatrix,
-    NMSparseMatrix,
-    compressed_ffn_breakdown,
-    compressed_mha_breakdown,
-    schedule_compressed_ffn,
-    schedule_compressed_mha,
-)
+from repro.compress import BlockCirculantMatrix, NMSparseMatrix
 from repro.config import (
     AcceleratorConfig,
     CompressionSpec,
@@ -33,7 +27,12 @@ from repro.config import (
     circulant_spec,
     nm_sparse_spec,
 )
-from repro.core import schedule_ffn, schedule_mha
+from repro.core import (
+    ffn_cycle_breakdown,
+    mha_cycle_breakdown,
+    schedule_ffn,
+    schedule_mha,
+)
 
 model_configs = st.builds(
     lambda h, ff_mult: ModelConfig(
@@ -220,8 +219,8 @@ class TestCompressedPricingExactness:
            spec=compress_specs)
     def test_mha_scheduler_matches_closed_form(self, model, acc, mem,
                                                spec):
-        sched = schedule_compressed_mha(model, acc, spec, mem)
-        breakdown = compressed_mha_breakdown(model, acc, spec, mem)
+        sched = schedule_mha(model, acc, mem, spec=spec)
+        breakdown = mha_cycle_breakdown(model, acc, mem, spec=spec)
         assert sched.total_cycles == breakdown.total_cycles
         assert sched.memsys_stall_cycles == breakdown.memsys_stall_cycles
 
@@ -230,8 +229,8 @@ class TestCompressedPricingExactness:
            spec=compress_specs)
     def test_ffn_scheduler_matches_closed_form(self, model, acc, mem,
                                                spec):
-        sched = schedule_compressed_ffn(model, acc, spec, mem)
-        breakdown = compressed_ffn_breakdown(model, acc, spec, mem)
+        sched = schedule_ffn(model, acc, mem, spec=spec)
+        breakdown = ffn_cycle_breakdown(model, acc, mem, spec=spec)
         assert sched.total_cycles == breakdown.total_cycles
         assert sched.memsys_stall_cycles == breakdown.memsys_stall_cycles
 
@@ -243,12 +242,9 @@ class TestCompressedPricingExactness:
         # Every ratio-1.0 spec (dense, circulant b=1, n == m) must
         # reproduce the uncompressed schedule event for event.
         assert spec.is_dense
-        for compressed_fn, dense_fn in (
-            (schedule_compressed_mha, schedule_mha),
-            (schedule_compressed_ffn, schedule_ffn),
-        ):
-            compressed = compressed_fn(model, acc, spec, mem)
-            dense = dense_fn(model, acc, mem)
+        for schedule in (schedule_mha, schedule_ffn):
+            compressed = schedule(model, acc, mem, spec=spec)
+            dense = schedule(model, acc, mem)
             assert compressed.events == dense.events
             assert compressed.total_cycles == dense.total_cycles
             assert compressed.compress_overhead_cycles == 0
@@ -259,12 +255,12 @@ class TestCompressedPricingExactness:
     def test_overhead_accounting_is_consistent(self, model, acc, spec):
         # The timeline's accumulated extra overhead equals the spec's
         # per-pass charge times the weight-pass count.
-        mha = schedule_compressed_mha(model, acc, spec)
+        mha = schedule_mha(model, acc, spec=spec)
         per_pass = spec.pass_overhead_cycles(model.d_model)
         weight_passes = 4 * model.num_heads
         assert mha.compress_overhead_cycles == weight_passes * per_pass
 
-        ffn = schedule_compressed_ffn(model, acc, spec)
+        ffn = schedule_ffn(model, acc, spec=spec)
         expected = (
             model.num_w1_blocks * spec.pass_overhead_cycles(model.d_model)
             + model.num_w2_blocks * spec.pass_overhead_cycles(model.d_ff)

@@ -5,6 +5,7 @@ The closed-form cycle model must equal the event-timeline scheduler for
 equivalence across randomized models and accelerator knobs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.config import AcceleratorConfig, ModelConfig
 from repro.core import (
     ffn_cycle_breakdown,
     mha_cycle_breakdown,
+    pass_busy_cycles,
     schedule_ffn,
     schedule_mha,
 )
@@ -71,6 +73,29 @@ class TestSchedulerAnalyticAgreement:
         breakdown = mha_cycle_breakdown(model, acc)
         assert breakdown.softmax_stall_cycles == 64
         assert sched.total_cycles == breakdown.total_cycles
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("abft", [False, True])
+    def test_mha_softmax_stall_under_abft_and_overlap(self, overlap, abft):
+        # The V projection is the only SA work hiding the softmax tail;
+        # a deep softmax pipeline makes that tail outlast it in every
+        # overlap / ABFT mode, so the closed form's V-pass busy time
+        # must match the timeline's drain and comparator exposure.
+        model = ModelConfig(
+            "fuzz", d_model=128, d_ff=128, num_heads=2,
+            num_encoder_layers=1, num_decoder_layers=0, max_seq_len=64,
+        )
+        acc = AcceleratorConfig(
+            seq_len=128, sa_cols=64, sa_drain_cycles=4,
+            weight_load_cycles=3, pass_issue_cycles=2,
+            softmax_pipeline_depth=400, pass_overlap=overlap,
+            abft_protected=abft, abft_check_cycles=8,
+        )
+        breakdown = mha_cycle_breakdown(model, acc)
+        exposed = acc.seq_len + acc.softmax_pipeline_depth
+        v_busy = pass_busy_cycles(acc, model.d_model, True, False)
+        assert breakdown.softmax_stall_cycles == 2 * (exposed - v_busy) > 0
+        assert schedule_mha(model, acc).total_cycles == breakdown.total_cycles
 
     @settings(max_examples=60, deadline=None)
     @given(model=model_configs, acc=acc_configs)
