@@ -22,7 +22,7 @@ Heterogeneity enters through the cost model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Union
+from typing import Union
 
 from ..config import AcceleratorConfig, ClusterConfig, ModelConfig, PoolConfig
 from ..gpu_model.kernels import ffn_resblock_kernels, mha_resblock_kernels
@@ -30,6 +30,7 @@ from ..gpu_model.v100 import GpuSpec, v100_batched
 from ..serving.admission import AdmissionQueue
 from ..serving.batching import BatchCostModel, DynamicBatcher
 from ..serving.devices import WorkerPool
+from ..telemetry.registry import percentile
 
 #: Time base of GPU-pool "cycles": 1000 MHz -> one cycle is one
 #: nanosecond, so roofline microsecond latencies convert losslessly.
@@ -185,20 +186,6 @@ class PoolRuntime:
         backlog_batches = len(self.queue) / self.batcher.max_requests
         return now_us + wait_for_device + (backlog_batches + 1.0) * self.run_us
 
-    def decode_step_us(self, context_len: int) -> Optional[float]:
-        """Per-token decode latency on this pool's hardware.
-
-        Duck-typed through the cost model: FPGA pools price the step
-        via :meth:`BatchCostModel.decode_step_cycles` (the
-        ``repro.decode`` schedule); GPU pools have no decode-step
-        cycle model yet and return ``None`` so routers can skip them
-        for latency-bound generation traffic.
-        """
-        step = getattr(self.cost, "decode_step_cycles", None)
-        if step is None:
-            return None
-        return self.cost.acc.cycles_to_us(step(context_len))
-
     def observe_completion(
         self, completion_us: float, latency_us: float, alpha: float
     ) -> None:
@@ -216,9 +203,7 @@ class PoolRuntime:
             self.completions.popleft()
         if not self.completions:
             return 0.0
-        ordered = sorted(lat for _, lat in self.completions)
-        rank = max(1, int(0.99 * len(ordered) + 0.9999999))
-        return ordered[min(rank, len(ordered)) - 1]
+        return percentile([lat for _, lat in self.completions], 99)
 
     def interval_busy_fraction(self, interval_us: float) -> float:
         """Busy fraction since the last snapshot; advances the snapshot.

@@ -176,69 +176,200 @@ def ffn_tile_bytes(
     return w1, w2
 
 
-def _mha_memsys_stalls(
+def _require_positive(name: str, value: int) -> None:
+    if value <= 0:
+        raise ScheduleError(f"{name} must be positive, got {value}")
+
+
+def _attention_macs(
+    model: ModelConfig, rows: int, keys: int, new_kv: bool
+) -> int:
+    """Useful MACs of one attention ResBlock of shape ``(rows, keys)``.
+
+    ``rows`` query rows project through ``W_Q`` (and, with ``new_kv``,
+    ``W_K``/``W_V``), score against ``keys`` keys, reduce against as
+    many values, and project through ``W_G``.  At ``rows == keys == s``
+    this is :meth:`~repro.config.ModelConfig.mha_macs`; row tiling
+    never adds or removes arithmetic.
+    """
+    h, dm, dk = model.num_heads, model.d_model, model.head_dim
+    proj = (3 if new_kv else 1) * h * rows * dm * dk
+    attn = 2 * h * rows * keys * dk
+    return proj + attn + rows * dm * dm
+
+
+def _attention_stalls(
     model: ModelConfig,
     acc: AcceleratorConfig,
-    mem: MemoryConfig,
+    tiles: int,
+    keys: int,
+    new_kv: bool,
     spec: CompressionSpec,
+    mem: Optional[MemoryConfig],
 ) -> tuple[int, int]:
-    """(memsys stall, softmax stall) of one MHA ResBlock.
+    """(softmax stall, memsys stall) of one attention ResBlock.
 
-    Mirrors the event timeline's prefetch recursion: the fetch of each
-    weight tile starts when the previous weight pass starts, so a tile
-    stalls its pass by ``max(0, F - gap)`` where ``gap`` is the SA time
-    between consecutive weight-pass starts.  A stall on ``V W_Vi``
-    also absorbs part of the softmax tail the ``P V`` pass would have
-    waited for, so the two terms are coupled per head.  Weight passes
-    and tile fetches are priced under ``spec``; the activation passes
-    (``Q K^T``, ``P V``) keep their dense busy times.
+    Replays the pass order of
+    :func:`repro.core.scheduler._schedule_attention` on scalars, with
+    the same break/conflict classification as the count algebra, so the
+    per-pass busy cycles cancel against ``active + issue + skew +
+    abft`` and only the two idle terms survive: SA gaps where ``P V``
+    waits for its tile's softmax, and weight-tile fetches outlasting
+    the SA time since the previous weight pass started (the tile
+    prefetcher's rule; without double buffering every fetch is
+    exposed).  The terms are coupled: a stall on ``V W_Vi`` also covers
+    part of the softmax tail.  Each projection or ``G`` weight tile is
+    fetched once and replayed over the ``tiles`` row tiles.
     """
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    qkt_passes = -(-s // acc.sa_cols)
-    exposed = s + acc.softmax_pipeline_depth
-    b_chain = weight_pass_busy_cycles(acc, spec, d_model, False)
-    fetch = mem.transfer_cycles(
-        mha_tile_bytes(model, acc, spec), acc.clock_mhz
-    )
-    if not mem.double_buffered_prefetch:
-        # Every weight pass waits for its own tile; the V-projection's
-        # wait doubles as cover for the softmax tail.
-        mem_stall = 4 * h * fetch
-        sm_stall = h * max(0, exposed - b_chain - fetch)
-        return mem_stall, sm_stall
-    b_first = weight_pass_busy_cycles(acc, spec, d_model, True)
-    b_qkt0 = pass_busy_cycles(acc, acc.sa_cols, False, True)
-    b_qktx = pass_busy_cycles(
-        acc, acc.sa_cols, False, acc.single_ported_buffers
-    )
-    b_pv = pass_busy_cycles(acc, s, False, True)
-    gap_v = b_chain + b_qkt0 + (qkt_passes - 1) * b_qktx
-    mem_stall = 0
-    sm_stall = 0
-    stall_v = 0
-    for i in range(h):
-        if i == 0:
-            # Cold start: nothing hides the very first tile's fetch.
-            stall_q = fetch
-        else:
-            gap_q = max(b_chain, exposed - stall_v) + b_pv
-            stall_q = max(0, fetch - gap_q)
-        stall_k = max(0, fetch - (b_first if i == 0 else b_chain))
-        stall_v = max(0, fetch - gap_v)
-        mem_stall += stall_q + stall_k + stall_v
-        sm_stall += max(0, exposed - b_chain - stall_v)
-    gap_g0 = max(b_chain, exposed - stall_v) + b_pv
-    mem_stall += max(0, fetch - gap_g0)
-    if h >= 2:
-        b_g0 = weight_pass_busy_cycles(acc, spec, d_model, True)
-        b_gx = weight_pass_busy_cycles(
-            acc, spec, d_model, acc.single_ported_buffers
+    h, dm, cols = model.num_heads, model.d_model, acc.sa_cols
+    sp = acc.single_ported_buffers
+    chunks = -(-keys // cols)
+    exposed = keys + acc.softmax_pipeline_depth
+    fetch, double_buffered = 0, True
+    if mem is not None and not mem.is_unlimited:
+        fetch = mem.transfer_cycles(
+            mha_tile_bytes(model, acc, spec), acc.clock_mhz
         )
-        mem_stall += max(0, fetch - b_g0)
-        mem_stall += (h - 2) * max(0, fetch - b_gx)
-    return mem_stall, sm_stall
+        double_buffered = mem.double_buffered_prefetch
+    # Busy cycles of every distinct pass, indexed by its break flag.
+    weight = (weight_pass_busy_cycles(acc, spec, dm, False),
+              weight_pass_busy_cycles(acc, spec, dm, True))
+    replays = (tiles - 1) * (
+        pass_busy_cycles(acc, spec.effective_depth(dm), False, sp)
+        + spec.pass_overhead_cycles(dm)
+    )
+    qkt_first = (pass_busy_cycles(acc, cols, False, False),
+                 pass_busy_cycles(acc, cols, False, True))
+    qkt_rest = (chunks - 1) * pass_busy_cycles(acc, cols, False, sp)
+    pv = pass_busy_cycles(acc, keys, False, True)
+    free = sm_free = sm_stall = mem_stall = 0
+    prev_weight_start = 0               # the first fetch starts at 0
+
+    def weight_tile(brk: bool) -> None:
+        nonlocal free, mem_stall, prev_weight_start
+        if fetch:
+            stall = (max(0, prev_weight_start + fetch - free)
+                     if double_buffered else fetch)
+            free += stall
+            mem_stall += stall
+        prev_weight_start = free
+        free += weight[brk] + replays
+
+    def qkt_tile(brk: bool) -> int:
+        nonlocal free, sm_free
+        free += qkt_first[brk] + qkt_rest
+        sm_free = max(free, sm_free) + exposed
+        return sm_free
+
+    def pv_pass(softmax_end: int) -> None:
+        nonlocal free, sm_stall
+        if softmax_end > free:
+            sm_stall += softmax_end - free
+            free = softmax_end
+        free += pv
+
+    for i in range(h):
+        weight_tile(i == 0)
+        if new_kv:
+            weight_tile(False)
+        softmax_end = qkt_tile(True)
+        if new_kv:
+            weight_tile(False)
+        for tau in range(1, tiles):
+            # Tile 1's first chunk follows the V projection on the
+            # other port; later tiles' follow a P V on Temp1.
+            next_end = qkt_tile(sp and (tau >= 2 or not new_kv))
+            pv_pass(softmax_end)
+            softmax_end = next_end
+        pv_pass(softmax_end)
+    for c in range(h):
+        weight_tile(c == 0 or sp)
+    return sm_stall, mem_stall
+
+
+def _attention_breakdown(
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    rows: int,
+    keys: int,
+    new_kv: bool,
+    spec: CompressionSpec,
+    mem: Optional[MemoryConfig],
+) -> CycleBreakdown:
+    """Analytic cycle count of one attention ResBlock.
+
+    The shape mirrors :func:`repro.core.scheduler._schedule_attention`:
+    ``T = ceil(rows / seq_len)`` query row tiles, ``C = ceil(keys /
+    64)`` key chunks (Section III's Q partitioning; one zero-padded
+    pass when ``keys <= 64``), a ``keys``-wide softmax and a
+    ``keys``-deep ``P V``; ``new_kv=False`` drops the K and V
+    projections, leaving ``P = 1`` projection per head instead of 3.
+
+    Pass inventory: per head ``P T`` projection row tiles
+    (weight-stationary, so only the first of each group loads its
+    tile), ``T C`` ``Q K^T`` chunks and ``T`` ``P V`` passes; then
+    ``h T`` output row tiles.  Breaks: each ``P V`` (``hT``), tile 0's
+    first ``Q K^T`` chunk per head (``h``), the first pass overall and
+    the first G pass.  Single-ported conflicts: projection replays
+    (``P h (T-1)``), extra ``Q K^T`` chunks (``hT(C-1)``), later tiles'
+    first chunks re-streaming Temp1 (``h max(0, T-2)``; tile 1's
+    follows the V projection on the other port, unless there is none),
+    and the ``hT - 1`` G passes after the first.
+
+    The projection and G passes are priced under ``spec``
+    (:func:`weight_pass_busy_cycles`): their compressed depth lands in
+    ``active_cycles`` and their row-generator / index-decode overhead
+    in ``issue_cycles``.  The softmax tail each ``P V`` waits for is
+    hidden by the V projection (tile 0) or the next tile's ``Q K^T``
+    chunks; what leaks, and the prefetch stalls it couples with, come
+    from :func:`_attention_stalls`.  ``ideal_cycles`` counts only the
+    valid rows' dense MACs.
+    """
+    if model.head_dim != acc.sa_cols:
+        raise ScheduleError("model head dim must match SA columns")
+    h, dm, cols = model.num_heads, model.d_model, acc.sa_cols
+    tiles = -(-rows // acc.seq_len)
+    chunks = -(-keys // cols)
+    projections = 3 if new_kv else 1
+    weight_tiles = h * (projections + 1)
+    weight_rows = weight_tiles * tiles
+    passes = weight_rows + h * tiles * (chunks + 1)
+    active = (weight_rows * spec.effective_depth(dm)
+              + h * tiles * (chunks * cols + keys))
+    issue = (passes * acc.pass_issue_cycles
+             + weight_tiles * acc.weight_load_cycles
+             + weight_rows * spec.pass_overhead_cycles(dm))
+    if acc.pass_overlap:
+        break_passes = h + h * tiles + 2
+        if acc.single_ported_buffers:
+            break_passes += (
+                projections * h * (tiles - 1)
+                + h * tiles * (chunks - 1)
+                + h * max(0, tiles - (2 if new_kv else 1))
+                + (h * tiles - 1)
+            )
+    else:
+        break_passes = passes
+    skew = break_passes * _skew_and_drain(acc, cols)
+    abft = _abft_exposure(acc, passes, break_passes)
+    sm_stall, mem_stall = _attention_stalls(
+        model, acc, tiles, keys, new_kv, spec, mem
+    )
+    layernorm = _layernorm_tail(acc, dm)
+    total = active + issue + skew + sm_stall + abft + mem_stall + layernorm
+    return CycleBreakdown(
+        active_cycles=active,
+        issue_cycles=issue,
+        skew_cycles=skew,
+        softmax_stall_cycles=sm_stall,
+        abft_cycles=abft,
+        memsys_stall_cycles=mem_stall,
+        layernorm_cycles=layernorm,
+        total_cycles=total,
+        ideal_cycles=(
+            _attention_macs(model, rows, keys, new_kv) // acc.num_pes
+        ),
+    )
 
 
 def _ffn_memsys_stalls(
@@ -283,80 +414,19 @@ def mha_cycle_breakdown(
 ) -> CycleBreakdown:
     """Analytic cycle count of one MHA ResBlock.
 
-    Pass inventory per head: three d_model-deep projections,
-    ``ceil(s/64)`` 64-deep ``Q K^T`` chunk passes (Section III's Q
-    partitioning; one zero-padded pass when s <= 64) and one s-deep
-    ``P V``; then ``h`` d_model-deep output passes.  Skew is paid by the
-    per-head dependency breaks (first ``Q K^T`` chunk, ``P V``), the
-    first pass overall, the first G pass, and — with single-ported
-    buffers — every pass that re-streams its predecessor's buffer
-    (extra ``Q K^T`` chunks and the remaining G passes).
-
-    The softmax module's exposed tail (``s`` output columns plus its
-    pipeline depth) runs concurrently with the ``V W_Vi`` pass; when the
-    tail outlasts that pass — small ``d_model`` or ``s > 64`` — the
-    ``P V`` pass stalls for the difference on every head
-    (``softmax_stall_cycles``).  At the paper's operating point the
-    stall is zero, which is exactly its claim that the softmax "hardly
-    stops" the array.
-
-    The ``4h`` weight passes are priced under ``spec``
-    (:func:`weight_pass_busy_cycles`): their compressed depth lands in
-    ``active_cycles`` and their row-generator / index-decode overhead
-    in ``issue_cycles``, so a compressed breakdown needs no extra
-    field.  ``ideal_cycles`` stays the dense MAC bound.
+    The one-tile shape ``(seq_len, seq_len, new_kv=True)`` of
+    :func:`_attention_breakdown`.  The softmax module's exposed tail
+    (``s`` output columns plus its pipeline depth) runs concurrently
+    with the ``V W_Vi`` pass; when the tail outlasts that pass — small
+    ``d_model`` or ``s > 64`` — the ``P V`` pass stalls for the
+    difference on every head (``softmax_stall_cycles``).  At the
+    paper's operating point the stall is zero, which is exactly its
+    claim that the softmax "hardly stops" the array.  The ``4h``
+    weight passes are priced under ``spec``; ``ideal_cycles`` stays
+    the dense MAC bound.
     """
-    if model.head_dim != acc.sa_cols:
-        raise ScheduleError("model head dim must match SA columns")
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    k_w = spec.effective_depth(d_model)
-    qkt_passes = -(-s // acc.sa_cols)
-    active = h * (3 * k_w + qkt_passes * acc.sa_cols + s) + h * k_w
-    passes = h * (4 + qkt_passes) + h
-    # Only weight-streaming passes pay the weight fetch: the three
-    # projections and the G pass per head.  Q K^T and the softmax x Temp2
-    # product read both operands from Data Memory.
-    weight_passes = 4 * h
-    issue = (passes * acc.pass_issue_cycles
-             + weight_passes * (acc.weight_load_cycles
-                                + spec.pass_overhead_cycles(d_model)))
-    skew_full = _skew_and_drain(acc, acc.sa_cols)
-    if acc.pass_overlap:
-        # Breaks: first QKt chunk and PV per head, the first pass overall,
-        # and the first G pass (operands from the drained P buffer).
-        break_passes = 2 * h + 2
-        if acc.single_ported_buffers:
-            # Extra QKt chunks contend on Temp1; G passes contend on P.
-            break_passes += h * (qkt_passes - 1) + (h - 1)
-    else:
-        break_passes = passes
-    skew = break_passes * skew_full
-    abft = _abft_exposure(acc, passes, break_passes)
-    if mem is not None and not mem.is_unlimited:
-        # A weight-tile stall on V W_Vi also covers part of the softmax
-        # tail, so both terms come from the coupled recursion.
-        mem_stall, stall = _mha_memsys_stalls(model, acc, mem, spec)
-    else:
-        # The PV pass waits for the softmax output (s second-pass
-        # columns + pipeline tail after the last QKt drain column); the
-        # chained V projection is the only SA work hiding that wait.
-        mem_stall = 0
-        v_busy = weight_pass_busy_cycles(acc, spec, d_model, False)
-        stall = h * max(0, s + acc.softmax_pipeline_depth - v_busy)
-    layernorm = _layernorm_tail(acc, d_model)
-    total = active + issue + skew + stall + layernorm + abft + mem_stall
-    return CycleBreakdown(
-        active_cycles=active,
-        issue_cycles=issue,
-        skew_cycles=skew,
-        softmax_stall_cycles=stall,
-        abft_cycles=abft,
-        memsys_stall_cycles=mem_stall,
-        layernorm_cycles=layernorm,
-        total_cycles=total,
-        ideal_cycles=model.mha_macs(s) // acc.num_pes,
+    return _attention_breakdown(
+        model, acc, acc.seq_len, acc.seq_len, True, spec, mem
     )
 
 

@@ -60,9 +60,8 @@ from ..memsys.prefetch import TilePrefetcher
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
-from .cycle_model import DENSE, ffn_tile_bytes, mha_tile_bytes
+from .cycle_model import DENSE, _attention_macs, ffn_tile_bytes, mha_tile_bytes
 from .layernorm_module import LayerNormModule
-from .partition import plan_qkt
 from .softmax_module import SoftmaxModule
 from .systolic_array import expected_pass_cycles
 
@@ -305,6 +304,118 @@ def _record(
     record_schedule(result, registry)
 
 
+def _schedule_attention(
+    model: ModelConfig,
+    acc: AcceleratorConfig,
+    rows: int,
+    keys: int,
+    new_kv: bool,
+    spec: CompressionSpec,
+    mem: Optional[MemoryConfig],
+    registry: Optional[MetricsRegistry],
+    block: str,
+) -> ScheduleResult:
+    """Timeline of one attention ResBlock of shape ``(rows, keys, new_kv)``.
+
+    ``rows`` query rows run as ``T = ceil(rows / seq_len)`` row tiles
+    against ``keys`` keys.  Per head, pass order is
+
+    1. ``T`` Q-projection row tiles (weight-stationary: the 64-column
+       weight tile loads once, on tile 0), then ``T`` K-projection row
+       tiles — only with ``new_kv``; cached K/V skip both K and V;
+    2. tile 0's ``ceil(keys/64)`` ``Q K^T`` chunks (Section III's Q
+       partitioning; the first is a dependency break on the drained
+       projections, the rest serialize on Temp1's port) and its
+       ``keys``-wide softmax, which receives D column by column as the
+       chunks drain;
+    3. ``T`` V-projection row tiles, overlapping that softmax
+       (Algorithm 1 line 6);
+    4. for each later tile: its ``Q K^T`` chunks and softmax, then the
+       *previous* tile's ``keys``-deep ``P V`` (waiting on that tile's
+       softmax) — the software pipeline that hides each softmax tail
+       behind the next tile's scores;
+    5. the last tile's ``P V``.
+
+    Then ``h x T`` output (``G``) row tiles and the LayerNorm tail.  The
+    projection and G passes are priced under ``spec``.  Event names
+    carry a ``.t{tau}`` row-tile suffix only when ``T > 1``.
+    """
+    _validate(model, acc)
+    cols = acc.sa_cols
+    tiles = -(-rows // acc.seq_len)
+    chunks = -(-keys // cols)
+    k_w = spec.effective_depth(model.d_model)
+    over = spec.pass_overhead_cycles(model.d_model)
+    tile_bytes = mha_tile_bytes(model, acc, spec)
+    exposed = SoftmaxModule(acc).timing(keys).exposed_after_input
+    timeline = _Timeline(acc, mem, registry, block)
+    sm_free = 0                         # softmax module availability
+
+    def label(name: str, tau: int) -> str:
+        return f"{name}.t{tau}" if tiles > 1 else name
+
+    def weight_tile(name: str, buffer: str, brk: bool = False) -> None:
+        for tau in range(tiles):
+            timeline.sa_pass(
+                label(name, tau), k=k_w, input_buffer=buffer,
+                dependency_break=brk and tau == 0,
+                loads_weights=tau == 0,
+                tile_bytes=tile_bytes if tau == 0 else 0,
+                extra_overhead=over,
+            )
+
+    def qkt_tile(i: int, tau: int, brk: bool) -> int:
+        nonlocal sm_free
+        for j in range(chunks):
+            qkt = timeline.sa_pass(
+                label(f"head{i}.QKt{j}" if chunks > 1 else f"head{i}.QKt",
+                      tau),
+                k=cols, n=cols, input_buffer="temp1",
+                dependency_break=brk and j == 0, loads_weights=False,
+            )
+        sm_free = timeline.module_event(
+            label(f"head{i}.softmax", tau), "softmax",
+            max(qkt.end, sm_free), exposed,
+        ).end
+        return sm_free
+
+    def pv_pass(i: int, tau: int, softmax_end: int) -> None:
+        timeline.sa_pass(
+            label(f"head{i}.PV", tau), k=keys, input_buffer="temp1",
+            dependency_break=True, not_before=softmax_end,
+            loads_weights=False,
+        )
+
+    for i in range(model.num_heads):
+        weight_tile(f"head{i}.QWq", "input_q")
+        if new_kv:
+            weight_tile(f"head{i}.KWk", "input_kv")
+        softmax_end = qkt_tile(i, 0, brk=True)
+        if new_kv:
+            weight_tile(f"head{i}.VWv", "input_kv")
+        for tau in range(1, tiles):
+            next_end = qkt_tile(i, tau, brk=False)
+            pv_pass(i, tau - 1, softmax_end)
+            softmax_end = next_end
+        pv_pass(i, tiles - 1, softmax_end)
+    for c in range(model.num_heads):
+        weight_tile(f"out.GW{c}", "p_buffer", brk=c == 0)
+    ln_event = timeline.module_event(
+        "layernorm", "layernorm", timeline.sa_free,
+        LayerNormModule(acc, model.d_model).timing().total_exposed,
+    )
+
+    result = ScheduleResult(block=block, events=timeline.events)
+    result.total_cycles = ln_event.end
+    result.ideal_sa_cycles = (
+        _attention_macs(model, rows, keys, new_kv) // acc.num_pes
+    )
+    result.memsys_stall_cycles = timeline.memsys_stall
+    result.compress_overhead_cycles = timeline.compress_overhead
+    _record(result, registry)
+    return result
+
+
 def schedule_mha(
     model: ModelConfig,
     acc: AcceleratorConfig,
@@ -314,89 +425,21 @@ def schedule_mha(
 ) -> ScheduleResult:
     """Timeline of one MHA ResBlock (Algorithm 1, lines 1-13).
 
-    With a finite ``mem``, every weight-streaming pass's 64-column tile
-    is fetched over the off-chip link (``dram`` events); double
-    buffered, the fetch overlaps the previous pass and only its excess
-    stalls the SA (:mod:`repro.memsys`).  With a ``registry`` the
-    finished timeline is recorded through
+    The one-tile shape ``(seq_len, seq_len, new_kv=True)`` of
+    :func:`_schedule_attention`.  With a finite ``mem``, every
+    weight-streaming pass's 64-column tile is fetched over the off-chip
+    link (``dram`` events); double buffered, the fetch overlaps the
+    previous pass and only its excess stalls the SA
+    (:mod:`repro.memsys`).  With a ``registry`` the finished timeline
+    is recorded through
     :func:`repro.telemetry.instrument.record_schedule`.  The four weight
     passes per head (``Q W_Qi``, ``K W_Ki``, ``V W_Vi`` and ``G_i``)
     are priced under ``spec``.
     """
-    _validate(model, acc)
-    s = acc.seq_len
-    h = model.num_heads
-    d_model = model.d_model
-    k_w = spec.effective_depth(d_model)
-    over = spec.pass_overhead_cycles(d_model)
-    timeline = _Timeline(acc, mem, registry, "mha")
-    softmax = SoftmaxModule(acc)
-    layernorm = LayerNormModule(acc, d_model)
-    tile = mha_tile_bytes(model, acc, spec)
-
-    for i in range(h):
-        timeline.sa_pass(
-            f"head{i}.QWq", k=k_w, input_buffer="input_q",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        k_proj = timeline.sa_pass(
-            f"head{i}.KWk", k=k_w, input_buffer="input_kv",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        # Q_i K_i^T consumes the drained Temp1/Temp2 of the projections.
-        # For s > 64, Q_i is partitioned into 64-row chunks (Section III)
-        # and the product takes ceil(s / 64) passes; the chunks all stream
-        # Temp1, so they serialize on its port.
-        qkt_plan = plan_qkt(s, acc.sa_cols)
-        qkt = None
-        for chunk in range(qkt_plan.num_passes):
-            qkt = timeline.sa_pass(
-                f"head{i}.QKt{chunk}" if qkt_plan.num_passes > 1
-                else f"head{i}.QKt",
-                k=acc.sa_cols, n=acc.sa_cols,
-                input_buffer="temp1",
-                dependency_break=(chunk == 0), not_before=k_proj.end,
-                loads_weights=False,
-            )
-        # The softmax module receives D column by column as QKt drains and
-        # runs concurrently with the V projection (Algorithm 1 line 6).
-        sm_timing = softmax.timing(s)
-        sm_event = timeline.module_event(
-            f"head{i}.softmax", "softmax", qkt.end,
-            sm_timing.exposed_after_input,
-        )
-        v_proj = timeline.sa_pass(
-            f"head{i}.VWv", k=k_w, input_buffer="input_kv",
-            tile_bytes=tile, extra_overhead=over,
-        )
-        # P_i = softmax_out x Temp2 reduces over all s softmax columns and
-        # needs both the softmax output and the drained V projection.
-        timeline.sa_pass(
-            f"head{i}.PV", k=s,
-            input_buffer="temp1",
-            dependency_break=True,
-            not_before=max(sm_event.end, v_proj.end),
-            loads_weights=False,
-        )
-    for i in range(h):
-        timeline.sa_pass(
-            f"out.GW{i}", k=k_w, input_buffer="p_buffer",
-            dependency_break=(i == 0),
-            tile_bytes=tile, extra_overhead=over,
-        )
-    last_g = timeline.sa_free
-    ln_timing = layernorm.timing()
-    ln_event = timeline.module_event(
-        "layernorm", "layernorm", last_g, ln_timing.total_exposed
+    return _schedule_attention(
+        model, acc, acc.seq_len, acc.seq_len, True, spec, mem, registry,
+        "mha",
     )
-
-    result = ScheduleResult(block="mha", events=timeline.events)
-    result.total_cycles = ln_event.end
-    result.ideal_sa_cycles = model.mha_macs(s) // acc.num_pes
-    result.memsys_stall_cycles = timeline.memsys_stall
-    result.compress_overhead_cycles = timeline.compress_overhead
-    _record(result, registry)
-    return result
 
 
 def schedule_ffn(

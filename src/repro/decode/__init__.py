@@ -16,6 +16,13 @@ workload families that design cannot natively express:
   KV-cached autoregressive step (single valid query row against cached
   K/V), with :class:`KVCacheModel` charging off-chip refetch through
   :mod:`repro.memsys` when evicted from the Table II BRAM budget.
+
+Both are shapes ``(rows, keys, new_kv)`` of the one attention schedule
+and closed form in :mod:`repro.core` — ``(s, s, True)`` and
+``(1, t, new_kv)`` — whose one-tile shape is the stock
+:func:`~repro.core.scheduler.schedule_mha`; at ``s == seq_len`` (or a
+fresh-K/V step at ``t == seq_len``) each timeline is that schedule's,
+event for event.
 * **Mixed prefill/decode serving** — :func:`simulate_decode` interleaves
   long-prefill streams with per-token decode under decode-priority or
   prefill-chunking policies, exporting ``repro_decode_*`` telemetry and
@@ -26,7 +33,6 @@ from .cycle_model import (
     decode_step_breakdown,
     decode_step_macs,
     fused_mha_breakdown,
-    fused_mha_macs,
     prefill_layer_cycles,
 )
 from .fused import schedule_decode_step, schedule_fused_mha
@@ -54,7 +60,6 @@ __all__ = [
     "decode_step_macs",
     "default_kv_cache_bytes",
     "fused_mha_breakdown",
-    "fused_mha_macs",
     "kv_bytes_per_token",
     "prefill_layer_cycles",
     "sample_decode_streams",

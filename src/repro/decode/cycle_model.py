@@ -1,14 +1,13 @@
 """Closed-form cycle model for the fused and decode-step schedules.
 
-Mirrors the :mod:`repro.core.cycle_model` split: pass-count algebra for
-the active/issue/skew/ABFT components, plus a scalar walk over the pass
-sequence for the two *coupled* idle terms — softmax-tail waits and
-prefetch stalls — which in the fused pipeline depend on each other and
-on the running position of the softmax module (the same reason the base
-model's ``_mha_memsys_stalls`` is a per-head recursion rather than a
-product).  The property suite holds every breakdown to EXACT agreement
-with its event-timeline twin in :mod:`repro.decode.fused`; the
-conservation identity
+Both are shapes of the one attention closed form,
+:func:`repro.core.cycle_model._attention_breakdown`: pass-count algebra
+for the active/issue/skew/ABFT components, plus one scalar walk over
+the pass sequence for the two *coupled* idle terms — softmax-tail waits
+and prefetch stalls — which in the fused pipeline depend on each other
+and on the running position of the softmax module.  The property suite
+holds every breakdown to EXACT agreement with its event-timeline twin
+in :mod:`repro.decode.fused`; the conservation identity
 
     total = active + issue + skew + abft + softmax_stall
             + memsys_stall + layernorm
@@ -18,39 +17,26 @@ is the fused analogue of the SCH004 lint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig, ModelConfig
 from ..core.cycle_model import (
+    DENSE,
     CycleBreakdown,
-    _abft_exposure,
-    _layernorm_tail,
-    _skew_and_drain,
+    _attention_breakdown,
+    _attention_macs,
+    _require_positive,
     ffn_cycle_breakdown,
     mha_tile_bytes,
-    pass_busy_cycles,
 )
-from ..errors import ScheduleError
 
 __all__ = [
     "decode_step_breakdown",
     "decode_step_macs",
     "fused_mha_breakdown",
-    "fused_mha_macs",
     "mha_tile_bytes",
     "prefill_layer_cycles",
 ]
-
-
-def fused_mha_macs(model: ModelConfig, s: int) -> int:
-    """Useful MACs of one fused MHA ResBlock at sequence length ``s``.
-
-    Tiling never adds or removes arithmetic, so this is exactly
-    :meth:`~repro.config.ModelConfig.mha_macs` — kept as a named entry
-    point so decode callers don't encode that identity themselves.
-    """
-    return model.mha_macs(s)
 
 
 def decode_step_macs(
@@ -64,134 +50,8 @@ def decode_step_macs(
     projection.  The ``s^2`` attention terms of the prefill count
     collapse to ``t`` — the arithmetic the KV cache saves.
     """
-    if context_len <= 0:
-        raise ScheduleError(
-            f"context_len must be positive, got {context_len}"
-        )
-    h, dm, dk = model.num_heads, model.d_model, model.head_dim
-    proj = (3 if new_kv else 1) * h * dm * dk
-    attn = h * (context_len * dk + context_len * dk)
-    out = dm * dm
-    return proj + attn + out
-
-
-@dataclass
-class _Walk:
-    """Scalar emulation of ``_Timeline`` availability for stall terms.
-
-    Tracks the SA free cycle, the softmax module's free cycle and the
-    tile prefetcher's previous-pass-start anchor, accumulating the two
-    idle components the count algebra cannot express: ``sm_stall``
-    (SA gaps where a pass's ``not_before`` — a softmax or projection
-    completion — lands after the array went idle) and ``mem_stall``
-    (weight-tile fetches outlasting the pass they hide behind).
-    """
-
-    acc: AcceleratorConfig
-    fetch_cycles: int
-    double_buffered: bool
-    free: int = 0
-    sm_free: int = 0
-    sm_stall: int = 0
-    mem_stall: int = 0
-    prev_weight_start: Optional[int] = None
-
-    def weight_pass(self, k: int, brk: bool) -> None:
-        """A weight-streaming pass whose 64-column tile is prefetched."""
-        start = self.free
-        if self.fetch_cycles > 0:
-            if self.double_buffered:
-                anchor = (
-                    0 if self.prev_weight_start is None
-                    else self.prev_weight_start
-                )
-                stall = max(0, anchor + self.fetch_cycles - start)
-            else:
-                stall = self.fetch_cycles
-            start += stall
-            self.mem_stall += stall
-        self.prev_weight_start = start
-        self.free = start + pass_busy_cycles(self.acc, k, True, brk)
-
-    def plain_pass(self, k: int, brk: bool, not_before: int = 0) -> None:
-        """A Data-Memory-only pass (no weight tile, no fetch)."""
-        start = max(self.free, not_before)
-        self.sm_stall += start - self.free
-        self.free = start + pass_busy_cycles(self.acc, k, False, brk)
-
-    def softmax(self, exposed: int) -> int:
-        """One softmax drain; returns its end cycle (serialized module)."""
-        end = max(self.free, self.sm_free) + exposed
-        self.sm_free = end
-        return end
-
-
-def _make_walk(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    mem: Optional[MemoryConfig],
-) -> _Walk:
-    if mem is None or mem.is_unlimited:
-        return _Walk(acc, fetch_cycles=0, double_buffered=True)
-    return _Walk(
-        acc,
-        fetch_cycles=mem.transfer_cycles(
-            mha_tile_bytes(model, acc), acc.clock_mhz
-        ),
-        double_buffered=mem.double_buffered_prefetch,
-    )
-
-
-def _fused_stall_walk(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    s: int,
-    mem: Optional[MemoryConfig],
-) -> tuple[int, int]:
-    """(softmax stall, memsys stall) of one fused MHA ResBlock.
-
-    Replays the fused pass order of
-    :func:`repro.decode.fused.schedule_fused_mha` with the same
-    break/conflict classification the count algebra uses, so the sum of
-    per-pass busy cycles cancels against ``active + issue + skew +
-    abft`` and only the idle gaps survive.
-    """
-    rows, cols = acc.seq_len, acc.sa_cols
-    h, dm = model.num_heads, model.d_model
-    num_tiles = -(-s // rows)
-    num_chunks = -(-s // cols)
-    sp = acc.single_ported_buffers
-    exposed = s + acc.softmax_pipeline_depth
-    walk = _make_walk(model, acc, mem)
-
-    for i in range(h):
-        for proj in range(3):            # Q, K, V weight blocks
-            if proj == 2:
-                # QKt tile 0 runs between the K and V projections,
-                # overlapping tile 0's softmax with the V row tiles.
-                for j in range(num_chunks):
-                    walk.plain_pass(cols, brk=(j == 0) or sp and j > 0)
-                sm_ends = [walk.softmax(exposed)]
-            walk.weight_pass(dm, brk=(i == 0 and proj == 0))
-            for _ in range(1, num_tiles):
-                walk.plain_pass(dm, brk=sp)
-        v_done = walk.free
-        for tau in range(1, num_tiles):
-            for j in range(num_chunks):
-                brk = sp and (j > 0 or tau >= 2)
-                walk.plain_pass(cols, brk=brk)
-            sm_ends.append(walk.softmax(exposed))
-            walk.plain_pass(
-                s, brk=True, not_before=max(sm_ends[tau - 1], v_done)
-            )
-        walk.plain_pass(
-            s, brk=True, not_before=max(sm_ends[num_tiles - 1], v_done)
-        )
-    for c in range(h):
-        walk.weight_pass(dm, brk=(c == 0) or sp)
-        for _ in range(1, num_tiles):
-            walk.plain_pass(dm, brk=sp)
-    return walk.sm_stall, walk.mem_stall
+    _require_positive("context_len", context_len)
+    return _attention_macs(model, 1, context_len, new_kv)
 
 
 def fused_mha_breakdown(
@@ -202,99 +62,19 @@ def fused_mha_breakdown(
 ) -> CycleBreakdown:
     """Analytic cycle count of one fused MHA ResBlock at length ``s``.
 
-    Pass inventory with ``T = ceil(s / seq_len)`` query row tiles and
-    ``C = ceil(s / 64)`` key chunks: per head ``3T`` projection row
-    tiles (weight-stationary — only the first of each group streams its
-    tile), ``T x C`` ``Q K^T`` chunks, ``T`` s-deep ``P V`` passes;
-    then ``h x T`` output row tiles — ``hT(5 + C)`` passes, of which
-    ``4h`` load weights, exactly as in the base model.  Breaks: each
-    tile's ``P V`` (``hT``), tile 0's first ``Q K^T`` chunk per head
-    (``h``), the first pass overall and the first G pass.  Single-ported
-    conflicts: projection replays (``3h(T-1)``), extra ``Q K^T`` chunks
-    (``hT(C-1)``), tile >= 2 first chunks re-streaming Temp1 after a
-    ``P V`` (``h * max(0, T-2)`` — tile 1's follows the V projection on
-    the other port), and the ``hT - 1`` G passes after the first.  At
-    ``T = 1`` every count reduces to
-    :func:`repro.core.cycle_model.mha_cycle_breakdown`'s.
-
-    The ``s + pipeline_depth`` softmax tail of each tile is hidden by
-    the V row tiles (tile 0) or the next tile's ``Q K^T`` chunks
-    (software pipelining); what leaks — plus tiles serializing on the
-    one softmax module — comes out of :func:`_fused_stall_walk` as
-    ``softmax_stall_cycles``, coupled with the prefetch stalls.
+    The shape ``(s, s, new_kv=True)``: ``T = ceil(s / seq_len)`` query
+    row tiles and ``C = ceil(s / 64)`` key chunks give ``hT(5 + C)``
+    passes, of which ``4h`` load weights, exactly as in the base model.
+    At ``T = 1`` every count reduces to
+    :func:`repro.core.cycle_model.mha_cycle_breakdown`'s.  The
+    ``s + pipeline_depth`` softmax tail of each tile is hidden by the V
+    row tiles (tile 0) or the next tile's ``Q K^T`` chunks (software
+    pipelining); what leaks — plus tiles serializing on the one softmax
+    module — is ``softmax_stall_cycles``, coupled with the prefetch
+    stalls.
     """
-    if model.head_dim != acc.sa_cols:
-        raise ScheduleError("model head dim must match SA columns")
-    if s <= 0:
-        raise ScheduleError(f"s must be positive, got {s}")
-    h, dm = model.num_heads, model.d_model
-    num_tiles = -(-s // acc.seq_len)
-    num_chunks = -(-s // acc.sa_cols)
-    passes = h * num_tiles * (5 + num_chunks)
-    weight_passes = 4 * h
-    active = (
-        h * num_tiles * (3 * dm + num_chunks * acc.sa_cols + s)
-        + h * num_tiles * dm
-    )
-    issue = (passes * acc.pass_issue_cycles
-             + weight_passes * acc.weight_load_cycles)
-    if acc.pass_overlap:
-        break_passes = h + h * num_tiles + 2
-        if acc.single_ported_buffers:
-            break_passes += (
-                3 * h * (num_tiles - 1)
-                + h * num_tiles * (num_chunks - 1)
-                + h * max(0, num_tiles - 2)
-                + (h * num_tiles - 1)
-            )
-    else:
-        break_passes = passes
-    skew = break_passes * _skew_and_drain(acc, acc.sa_cols)
-    abft = _abft_exposure(acc, passes, break_passes)
-    sm_stall, mem_stall = _fused_stall_walk(model, acc, s, mem)
-    layernorm = _layernorm_tail(acc, dm)
-    total = active + issue + skew + sm_stall + abft + mem_stall + layernorm
-    return CycleBreakdown(
-        active_cycles=active,
-        issue_cycles=issue,
-        skew_cycles=skew,
-        softmax_stall_cycles=sm_stall,
-        abft_cycles=abft,
-        memsys_stall_cycles=mem_stall,
-        layernorm_cycles=layernorm,
-        total_cycles=total,
-        ideal_cycles=fused_mha_macs(model, s) // acc.num_pes,
-    )
-
-
-def _decode_stall_walk(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    context_len: int,
-    mem: Optional[MemoryConfig],
-    new_kv: bool,
-) -> tuple[int, int]:
-    """(softmax stall, memsys stall) of one decode-step MHA ResBlock."""
-    cols = acc.sa_cols
-    h, dm = model.num_heads, model.d_model
-    num_chunks = -(-context_len // cols)
-    sp = acc.single_ported_buffers
-    exposed = context_len + acc.softmax_pipeline_depth
-    walk = _make_walk(model, acc, mem)
-
-    for i in range(h):
-        walk.weight_pass(dm, brk=(i == 0))
-        if new_kv:
-            walk.weight_pass(dm, brk=False)
-        for j in range(num_chunks):
-            walk.plain_pass(cols, brk=(j == 0) or sp and j > 0)
-        sm_end = walk.free + exposed
-        if new_kv:
-            walk.weight_pass(dm, brk=False)
-        walk.plain_pass(context_len, brk=True, not_before=sm_end)
-    for c in range(h):
-        walk.weight_pass(dm, brk=(c == 0) or sp)
-    return walk.sm_stall, walk.mem_stall
+    _require_positive("s", s)
+    return _attention_breakdown(model, acc, s, s, True, DENSE, mem)
 
 
 def decode_step_breakdown(
@@ -306,56 +86,18 @@ def decode_step_breakdown(
 ) -> CycleBreakdown:
     """Analytic cycle count of one decode-token MHA ResBlock.
 
-    Same pass skeleton as the base MHA model with the roles of ``s``
-    rewired: the score product is ``ceil(t/64)`` chunks against the
-    *cached* K, the softmax row is ``t`` columns wide, and the ``P V``
-    reduction is ``t`` deep — while every projection still costs its
-    full ``d_model`` streaming cycles for one valid row.  With
-    ``new_kv=False`` (cross-attention) the K/V projections drop out.
-    ``ideal_cycles`` counts only the valid row's MACs, so utilization
-    here *is* the padding-waste story ``repro profile`` reports.
+    The shape ``(1, t, new_kv)``: the base MHA pass skeleton with the
+    score product ``ceil(t/64)`` chunks against the *cached* K, a
+    ``t``-column softmax row and a ``t``-deep ``P V`` reduction, while
+    every projection still costs its full ``d_model`` streaming cycles
+    for one valid row.  With ``new_kv=False`` (cross-attention) the
+    K/V projections drop out.  ``ideal_cycles`` counts only the valid
+    row's MACs, so utilization here *is* the padding-waste story
+    ``repro profile`` reports.
     """
-    if model.head_dim != acc.sa_cols:
-        raise ScheduleError("model head dim must match SA columns")
-    if context_len <= 0:
-        raise ScheduleError(
-            f"context_len must be positive, got {context_len}"
-        )
-    t = context_len
-    h, dm = model.num_heads, model.d_model
-    num_chunks = -(-t // acc.sa_cols)
-    per_head = 2 + num_chunks + (2 if new_kv else 0)
-    passes = h * per_head + h
-    weight_passes = h * ((3 if new_kv else 1) + 1)
-    active = (
-        h * ((3 if new_kv else 1) * dm + num_chunks * acc.sa_cols + t)
-        + h * dm
-    )
-    issue = (passes * acc.pass_issue_cycles
-             + weight_passes * acc.weight_load_cycles)
-    if acc.pass_overlap:
-        break_passes = 2 * h + 2
-        if acc.single_ported_buffers:
-            break_passes += h * (num_chunks - 1) + (h - 1)
-    else:
-        break_passes = passes
-    skew = break_passes * _skew_and_drain(acc, acc.sa_cols)
-    abft = _abft_exposure(acc, passes, break_passes)
-    sm_stall, mem_stall = _decode_stall_walk(
-        model, acc, t, mem, new_kv
-    )
-    layernorm = _layernorm_tail(acc, dm)
-    total = active + issue + skew + sm_stall + abft + mem_stall + layernorm
-    return CycleBreakdown(
-        active_cycles=active,
-        issue_cycles=issue,
-        skew_cycles=skew,
-        softmax_stall_cycles=sm_stall,
-        abft_cycles=abft,
-        memsys_stall_cycles=mem_stall,
-        layernorm_cycles=layernorm,
-        total_cycles=total,
-        ideal_cycles=decode_step_macs(model, t, new_kv) // acc.num_pes,
+    _require_positive("context_len", context_len)
+    return _attention_breakdown(
+        model, acc, 1, context_len, new_kv, DENSE, mem
     )
 
 

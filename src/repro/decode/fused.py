@@ -1,7 +1,8 @@
-"""Fused-attention and decode-step schedules on the event timeline.
+"""Fused-attention prefill and decode-step schedules on the event timeline.
 
-Two schedule variants the base :mod:`repro.core.scheduler` cannot
-express:
+Two shapes of the one attention timeline builder,
+:func:`repro.core.scheduler._schedule_attention`, beyond the one-tile
+shape :func:`~repro.core.scheduler.schedule_mha` uses:
 
 * :func:`schedule_fused_mha` — long-sequence prefill (``s`` may exceed
   the SA's ``seq_len`` rows).  ``Q``/``K``/``V`` row tiles stream
@@ -23,12 +24,9 @@ express:
   ``seq_len`` rows — the padding waste `repro profile` reports as the
   gap between padded and effective utilization.
 
-Both are priced by the same :class:`~repro.core.scheduler._Timeline`
-rules as the base schedules (skew at dependency breaks and single-port
-conflicts, exposed softmax tails, ABFT drains, prefetched weight
-tiles), and each has a closed-form twin in
-:mod:`repro.decode.cycle_model` that the property suite holds to exact
-agreement (the SCH004 conservation pattern).
+Each has a closed-form twin in :mod:`repro.decode.cycle_model`, the
+same shape of the one attention closed form, that the property suite
+holds to exact agreement (the SCH004 conservation pattern).
 """
 
 from __future__ import annotations
@@ -36,19 +34,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..config import AcceleratorConfig, MemoryConfig, ModelConfig
-from ..core.layernorm_module import LayerNormModule
-from ..core.scheduler import ScheduleResult, _Timeline, _record, _validate
-from ..core.softmax_module import SoftmaxModule
-from ..errors import ScheduleError
-from .cycle_model import decode_step_macs, fused_mha_macs, mha_tile_bytes
+from ..core.cycle_model import DENSE, _require_positive
+from ..core.scheduler import ScheduleResult, _schedule_attention
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
-
-
-def _check_lengths(name: str, value: int) -> None:
-    if value <= 0:
-        raise ScheduleError(f"{name} must be positive, got {value}")
 
 
 def schedule_fused_mha(
@@ -60,114 +50,18 @@ def schedule_fused_mha(
 ) -> ScheduleResult:
     """Timeline of one fused-attention MHA ResBlock at sequence length ``s``.
 
-    ``s`` is a *workload* parameter independent of the SA's physical
-    ``acc.seq_len`` rows: the sequence is processed as
-    ``T = ceil(s / seq_len)`` query row tiles.  Per head, pass order is
-
-    1. ``T`` Q-projection row tiles (weight tile loaded once, on the
-       first), ``T`` K-projection row tiles likewise;
-    2. query tile 0's ``ceil(s/64)`` ``Q K^T`` chunk passes (the first
-       is a dependency break on the drained projections) and its online
-       softmax (exposed ``s + pipeline_depth`` after the last chunk);
-    3. ``T`` V-projection row tiles, overlapping that softmax;
-    4. for each later tile: its ``Q K^T`` chunks, its softmax, and the
-       *previous* tile's ``P V`` pass (``s``-deep, waiting on that
-       tile's softmax) — the software pipeline that hides the tails;
-    5. the last tile's ``P V``.
-
-    Then ``h x T`` output (``G``) row-tile passes and the LayerNorm
-    tail.  With ``s <= seq_len`` (one tile) the pass structure reduces
-    to exactly :func:`repro.core.scheduler.schedule_mha`'s, and the
-    totals match it.
+    The shape ``(s, s, new_kv=True)``: ``s`` is a *workload* parameter
+    independent of the SA's physical ``acc.seq_len`` rows, and the
+    sequence is processed as ``T = ceil(s / seq_len)`` query row tiles
+    (events carry a ``.t{tau}`` suffix when ``T > 1``).  With
+    ``s <= seq_len`` (one tile) the pass structure is exactly
+    :func:`repro.core.scheduler.schedule_mha`'s, and at
+    ``s == seq_len`` so is every event.
     """
-    _validate(model, acc)
-    _check_lengths("s", s)
-    rows = acc.seq_len
-    cols = acc.sa_cols
-    h = model.num_heads
-    d_model = model.d_model
-    num_tiles = -(-s // rows)           # query row tiles
-    num_chunks = -(-s // cols)          # K^T column chunks per tile
-    timeline = _Timeline(acc, mem, registry, "fused_mha")
-    softmax = SoftmaxModule(acc)
-    layernorm = LayerNormModule(acc, d_model)
-    tile_bytes = mha_tile_bytes(model, acc)
-    exposed = softmax.timing(s).exposed_after_input
-    sm_free = 0                         # softmax module availability
-
-    def projection(label: str, tau: int) -> int:
-        event = timeline.sa_pass(
-            f"{label}.t{tau}", k=d_model,
-            input_buffer="input_q" if label.endswith("QWq") else "input_kv",
-            loads_weights=(tau == 0),
-            tile_bytes=tile_bytes if tau == 0 else 0,
-        )
-        return event.end
-
-    for i in range(h):
-        for tau in range(num_tiles):
-            projection(f"head{i}.QWq", tau)
-        k_done = 0
-        for tau in range(num_tiles):
-            k_done = projection(f"head{i}.KWk", tau)
-        sm_end: list[int] = []
-
-        def qkt_tile(tau: int, dep_break: bool, not_before: int) -> None:
-            nonlocal sm_free
-            last = 0
-            for j in range(num_chunks):
-                event = timeline.sa_pass(
-                    f"head{i}.QKt.t{tau}.{j}",
-                    k=cols, n=cols, input_buffer="temp1",
-                    dependency_break=(j == 0 and dep_break),
-                    not_before=not_before if j == 0 else 0,
-                    loads_weights=False,
-                )
-                last = event.end
-            start = max(last, sm_free)
-            event = timeline.module_event(
-                f"head{i}.softmax.t{tau}", "softmax", start, exposed
-            )
-            sm_end.append(event.end)
-            sm_free = event.end
-
-        qkt_tile(0, dep_break=True, not_before=k_done)
-        v_done = 0
-        for tau in range(num_tiles):
-            v_done = projection(f"head{i}.VWv", tau)
-        for tau in range(1, num_tiles):
-            qkt_tile(tau, dep_break=False, not_before=0)
-            timeline.sa_pass(
-                f"head{i}.PV.t{tau - 1}", k=s, input_buffer="temp1",
-                dependency_break=True,
-                not_before=max(sm_end[tau - 1], v_done),
-                loads_weights=False,
-            )
-        timeline.sa_pass(
-            f"head{i}.PV.t{num_tiles - 1}", k=s, input_buffer="temp1",
-            dependency_break=True,
-            not_before=max(sm_end[num_tiles - 1], v_done),
-            loads_weights=False,
-        )
-    for c in range(h):
-        for tau in range(num_tiles):
-            timeline.sa_pass(
-                f"out.GW{c}.t{tau}", k=d_model, input_buffer="p_buffer",
-                dependency_break=(c == 0 and tau == 0),
-                loads_weights=(tau == 0),
-                tile_bytes=tile_bytes if tau == 0 else 0,
-            )
-    ln_event = timeline.module_event(
-        "layernorm", "layernorm", timeline.sa_free,
-        layernorm.timing().total_exposed,
+    _require_positive("s", s)
+    return _schedule_attention(
+        model, acc, s, s, True, DENSE, mem, registry, "fused_mha"
     )
-
-    result = ScheduleResult(block="fused_mha", events=timeline.events)
-    result.total_cycles = ln_event.end
-    result.ideal_sa_cycles = fused_mha_macs(model, s) // acc.num_pes
-    result.memsys_stall_cycles = timeline.memsys_stall
-    _record(result, registry)
-    return result
 
 
 def schedule_decode_step(
@@ -180,13 +74,14 @@ def schedule_decode_step(
 ) -> ScheduleResult:
     """Timeline of one MHA ResBlock for a single decode token.
 
-    One valid query row attends over ``context_len`` cached key/value
-    positions.  Per head: the new token's Q projection (and, for
-    self-attention, its K and V rows — ``new_kv=False`` models cross
-    attention, whose K/V were cached at prefill), ``ceil(t/64)``
-    ``q K^T`` chunk passes against the cached K, a ``t``-column
-    single-row online softmax, and one ``t``-deep ``p V`` pass against
-    the cached V; then the ``h`` output passes and the LayerNorm tail.
+    The shape ``(1, context_len, new_kv)``: one valid query row attends
+    over ``context_len`` cached key/value positions.  Per head: the new
+    token's Q projection (and, for self-attention, its K and V rows —
+    ``new_kv=False`` models cross attention, whose K/V were cached at
+    prefill), ``ceil(t/64)`` ``q K^T`` chunk passes against the cached
+    K, a ``t``-column single-row online softmax, and one ``t``-deep
+    ``p V`` pass against the cached V; then the ``h`` output passes and
+    the LayerNorm tail.
 
     KV-cache *residency* is deliberately not on this timeline: hit/miss
     refetch traffic depends on the serving-level interleaving, so
@@ -198,69 +93,8 @@ def schedule_decode_step(
     ``sa_utilization`` is the *effective* number while
     ``padded_sa_utilization`` shows what the array streamed.
     """
-    _validate(model, acc)
-    _check_lengths("context_len", context_len)
-    cols = acc.sa_cols
-    h = model.num_heads
-    d_model = model.d_model
-    t = context_len
-    num_chunks = -(-t // cols)
-    timeline = _Timeline(acc, mem, registry, "decode_step")
-    softmax = SoftmaxModule(acc)
-    layernorm = LayerNormModule(acc, d_model)
-    tile_bytes = mha_tile_bytes(model, acc)
-
-    for i in range(h):
-        timeline.sa_pass(
-            f"head{i}.qWq", k=d_model, input_buffer="input_q",
-            tile_bytes=tile_bytes,
-        )
-        k_done = timeline.sa_free
-        if new_kv:
-            k_done = timeline.sa_pass(
-                f"head{i}.kWk", k=d_model, input_buffer="input_kv",
-                tile_bytes=tile_bytes,
-            ).end
-        qkt = None
-        for j in range(num_chunks):
-            qkt = timeline.sa_pass(
-                f"head{i}.qKt.{j}" if num_chunks > 1 else f"head{i}.qKt",
-                k=cols, n=cols, input_buffer="temp1",
-                dependency_break=(j == 0), not_before=k_done,
-                loads_weights=False,
-            )
-        sm_event = timeline.module_event(
-            f"head{i}.softmax", "softmax", qkt.end,
-            softmax.timing(t).exposed_after_input,
-        )
-        v_done = timeline.sa_free
-        if new_kv:
-            v_done = timeline.sa_pass(
-                f"head{i}.vWv", k=d_model, input_buffer="input_kv",
-                tile_bytes=tile_bytes,
-            ).end
-        timeline.sa_pass(
-            f"head{i}.pV", k=t, input_buffer="temp1",
-            dependency_break=True,
-            not_before=max(sm_event.end, v_done),
-            loads_weights=False,
-        )
-    for i in range(h):
-        timeline.sa_pass(
-            f"out.GW{i}", k=d_model, input_buffer="p_buffer",
-            dependency_break=(i == 0),
-            tile_bytes=tile_bytes,
-        )
-    ln_event = timeline.module_event(
-        "layernorm", "layernorm", timeline.sa_free,
-        layernorm.timing().total_exposed,
+    _require_positive("context_len", context_len)
+    return _schedule_attention(
+        model, acc, 1, context_len, new_kv, DENSE, mem, registry,
+        "decode_step",
     )
-
-    result = ScheduleResult(block="decode_step", events=timeline.events)
-    result.total_cycles = ln_event.end
-    result.ideal_sa_cycles = (
-        decode_step_macs(model, t, new_kv=new_kv) // acc.num_pes
-    )
-    result.memsys_stall_cycles = timeline.memsys_stall
-    _record(result, registry)
-    return result

@@ -155,38 +155,6 @@ class BatchCostModel:
         cycles = self.run_cycles if include_reload else self.compute_cycles
         return self.acc.cycles_to_us(cycles)
 
-    @property
-    def _generation_layers(self) -> int:
-        # Generation runs decoder-only-style through one stack (BERT
-        # presets generate through their encoder layers).
-        return (self.model.num_decoder_layers
-                or self.model.num_encoder_layers)
-
-    def prefill_cycles(self, prompt_len: int) -> int:
-        """Full-model prefill at ``prompt_len`` via the fused schedule.
-
-        Prompts longer than the SA's rows run as the row-tiled fused
-        attention of :mod:`repro.decode` instead of being rejected by
-        the fixed-geometry batcher.
-        """
-        from ..decode import prefill_layer_cycles
-
-        return self._generation_layers * prefill_layer_cycles(
-            self.model, self.acc, prompt_len
-        )
-
-    def decode_step_cycles(self, context_len: int) -> int:
-        """Full-model single-token decode step at ``context_len``."""
-        from ..decode import decode_step_breakdown
-
-        layer = (
-            decode_step_breakdown(
-                self.model, self.acc, context_len
-            ).total_cycles
-            + self.ffn_cycles
-        )
-        return self._generation_layers * layer
-
     def stage_cycles(self, num_stages: int) -> list[int]:
         """Split the layer sequence into ``num_stages`` pipeline stages.
 

@@ -16,24 +16,12 @@ Chrome counter tracks.  The public API is unchanged.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ServingError
 from ..telemetry.registry import MetricsRegistry
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of ``values`` (``pct`` in (0, 100])."""
-    if not values:
-        raise ServingError("percentile of an empty sample")
-    if not 0 < pct <= 100:
-        raise ServingError(f"percentile {pct} outside (0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+from ..telemetry.registry import percentile as percentile
 
 
 def mean_queue_depth(samples: Sequence[tuple[float, int]]) -> float:

@@ -49,6 +49,22 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
 MAX_EXEMPLARS_PER_BUCKET = 4
 
 
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile of ``values`` (``pct`` in (0, 100]).
+
+    The smallest observed value with at least ``pct%`` of the sample at
+    or below it, so every reported percentile is an actual observation
+    and runs are exactly reproducible.
+    """
+    if not values:
+        raise TelemetryError("percentile of an empty sample")
+    if not 0 < pct <= 100:
+        raise TelemetryError(f"percentile {pct} outside (0, 100]")
+    ordered = sorted(values)
+    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
 def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -160,7 +176,7 @@ class Histogram(Instrument):
     kept per label set for the Prometheus exposition, and every observed
     sample is retained so percentiles are exact (nearest rank — the
     smallest observed value with at least ``pct%`` of the sample at or
-    below it), matching :func:`repro.serving.metrics.percentile`.
+    below it; :func:`percentile`).
     """
 
     kind = "histogram"
@@ -246,18 +262,9 @@ class Histogram(Instrument):
         return self.sum(**labels) / n if n else float("nan")
 
     def percentile(self, pct: float, **labels: object) -> float:
-        """Nearest-rank percentile of one series (``pct`` in (0, 100])."""
-        if not 0 < pct <= 100:
-            raise TelemetryError(f"percentile {pct} outside (0, 100]")
-        key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None or not series.samples:
-            raise TelemetryError(
-                f"histogram {self.name}: percentile of an empty series"
-            )
-        ordered = sorted(series.samples)
-        rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        """Nearest-rank :func:`percentile` of one series."""
+        series = self._series.get(_label_key(labels))
+        return percentile(series.samples if series is not None else (), pct)
 
     def cumulative_buckets(
         self, **labels: object

@@ -74,6 +74,15 @@ class TestDecodeStepAgreement:
         breakdown = decode_step_breakdown(model, acc, t, new_kv=new_kv)
         assert lint_schedule(result, breakdown) == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(model=model_configs, acc=acc_configs, mem=memories)
+    def test_full_context_is_base_mha_event_for_event(self, model, acc, mem):
+        # One builder prices both: a step at context seq_len streams the
+        # same passes as schedule_mha, names included (only the ideal
+        # MAC count, one valid row, differs).
+        step = schedule_decode_step(model, acc, acc.seq_len, mem)
+        assert step.events == schedule_mha(model, acc, mem).events
+
 
 class TestDecodeStepStructure:
     def test_pinned_step_total_matches_base_mha(self):

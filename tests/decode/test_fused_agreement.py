@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from repro.config import AcceleratorConfig, MemoryConfig, ModelConfig
 from repro.core import schedule_mha
-from repro.decode import (
-    fused_mha_breakdown,
-    fused_mha_macs,
-    schedule_fused_mha,
-)
+from repro.decode import fused_mha_breakdown, schedule_fused_mha
 from repro.statcheck import lint_schedule
 
 model_configs = st.builds(
@@ -72,6 +68,14 @@ class TestFusedAgreement:
         assert lint_schedule(result, fused_mha_breakdown(model, acc, s)) \
             == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(model=model_configs, acc=acc_configs, mem=memories)
+    def test_one_tile_is_base_mha_event_for_event(self, model, acc, mem):
+        # One builder prices both: at s == seq_len the fused timeline is
+        # schedule_mha's, names included.
+        fused = schedule_fused_mha(model, acc, acc.seq_len, mem)
+        assert fused.events == schedule_mha(model, acc, mem).events
+
     def test_degenerates_to_base_mha_at_one_tile(self):
         # s == seq_len means one row tile: the fused schedule IS the
         # Algorithm 1 MHA schedule, event for event.
@@ -93,10 +97,3 @@ class TestFusedAgreement:
         )
         result = schedule_fused_mha(model, AcceleratorConfig(), 512)
         assert result.total_cycles == 312_538
-
-    def test_tiling_adds_no_arithmetic(self):
-        model = ModelConfig(
-            "base", d_model=512, d_ff=2048, num_heads=8,
-            num_encoder_layers=6, num_decoder_layers=6, max_seq_len=64,
-        )
-        assert fused_mha_macs(model, 512) == model.mha_macs(512)
