@@ -17,6 +17,7 @@ trail.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import time
@@ -100,6 +101,25 @@ def bench_headline():
         _HEADLINES[name] = value
 
     return record
+
+
+@pytest.fixture
+def heap_events(monkeypatch):
+    """Running count of ``heapq.heappop`` calls from here to test end.
+
+    The event loops pop their heap once per simulated event, so the
+    difference of two readings is the events simulated in between.
+    """
+    count = 0
+    pop = heapq.heappop
+
+    def counted_pop(heap):
+        nonlocal count
+        count += 1
+        return pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counted_pop)
+    return lambda: count
 
 
 @pytest.fixture(scope="session")

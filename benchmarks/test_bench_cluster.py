@@ -29,7 +29,8 @@ def _run(model, policy, autoscale):
     return simulate_cluster(model, cluster).metrics
 
 
-def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline):
+def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
+                                   heap_events):
     smart = _run(base_model, "slo", autoscale=True)
     naive = _run(base_model, "round_robin", autoscale=False)
 
@@ -69,8 +70,9 @@ def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline):
     assert smart.slo_attainment > naive.slo_attainment
     assert smart.latency_p99_us < naive.latency_p99_us
 
-    # Simulator wall-clock throughput (see the serving bench for the
-    # rationale behind the loose rel_tol 0.9 band).
+    # Simulator wall-clock throughput and events per request (see the
+    # serving bench for the loose rel_tol 0.9 band and the exact pin).
+    events_before = heap_events()
     t0 = time.perf_counter()
     timed = simulate_cluster(
         base_model,
@@ -80,6 +82,8 @@ def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline):
     elapsed = time.perf_counter() - t0
     bench_headline("cluster.sim_requests_per_s",
                    len(timed.records) / elapsed)
+    bench_headline("cluster.events_per_request",
+                   (heap_events() - events_before) / len(timed.records))
 
     result = benchmark(
         simulate_cluster, base_model,

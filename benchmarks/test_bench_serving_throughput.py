@@ -48,7 +48,7 @@ def sweep(model, acc):
 
 
 def test_bench_serving_throughput(benchmark, base_model, paper_acc,
-                                  bench_headline):
+                                  bench_headline, heap_events):
     rows, stats = sweep(base_model, paper_acc)
     _, mid_dyn, _ = stats[1]
     bench_headline("serving.throughput_rps_at_1200", mid_dyn.throughput_rps)
@@ -72,6 +72,9 @@ def test_bench_serving_throughput(benchmark, base_model, paper_acc,
     # serving simulator itself resolves per real second.  Gated loosely
     # (rel_tol 0.9) — it guards against order-of-magnitude slowdowns
     # from instrumentation, not against machine-to-machine jitter.
+    # Its events per request are deterministic and pinned exactly: a
+    # loop that goes back to redundant wakeups fails that pin.
+    events_before = heap_events()
     t0 = time.perf_counter()
     timed = simulate_serving(
         base_model, paper_acc,
@@ -80,6 +83,8 @@ def test_bench_serving_throughput(benchmark, base_model, paper_acc,
     elapsed = time.perf_counter() - t0
     bench_headline("serving.sim_requests_per_s",
                    len(timed.records) / elapsed)
+    bench_headline("serving.events_per_request",
+                   (heap_events() - events_before) / len(timed.records))
 
     result = benchmark(
         simulate_serving, base_model, paper_acc,

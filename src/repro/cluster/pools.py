@@ -152,6 +152,9 @@ class PoolRuntime:
             seq_len, cluster.max_batch_requests, cluster.max_wait_us
         )
         self.run_us = self.cost.run_us()
+        # Time of the pool's one pending _POOL_FREE wakeup in the
+        # cluster event heap (inf: none pending).
+        self.free_wakeup_us = float("inf")
         # Router state: latency EWMA seeded with one uncontended run so
         # the first routing decisions already see the pool's speed.
         self.ewma_us = self.run_us

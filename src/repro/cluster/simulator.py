@@ -202,11 +202,14 @@ def simulate_cluster(
         nonlocal in_flight
         while len(pool.queue):
             if not pool.workers.can_accept(now_us):
-                heapq.heappush(
-                    heap,
-                    (pool.workers.next_free_us(), _POOL_FREE, next(seq),
-                     pool),
-                )
+                # One pending wakeup per pool: push only when the pool
+                # frees earlier than the wakeup already in the heap.
+                free_at = pool.workers.next_free_us()
+                if free_at < pool.free_wakeup_us:
+                    pool.free_wakeup_us = free_at
+                    heapq.heappush(
+                        heap, (free_at, _POOL_FREE, next(seq), pool)
+                    )
                 return
             batch = pool.batcher.try_form(
                 pool.queue, now_us, force=(remaining_arrivals == 0)
@@ -391,6 +394,8 @@ def simulate_cluster(
             continue
         # _POOL_FREE / _WAKEUP carry the pool they concern.
         pool = payload
+        if kind == _POOL_FREE and now_us >= pool.free_wakeup_us:
+            pool.free_wakeup_us = float("inf")
         expire_queue(pool, now_us)
         attempt_dispatch(pool, now_us)
 

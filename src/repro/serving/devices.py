@@ -114,6 +114,10 @@ class WorkerPool:
         self.acc = acc
         self.track_prefix = track_prefix
         self.devices = [Device(i) for i in range(num_devices)]
+        # Alive, non-draining devices in id order, kept current by
+        # add_device / drain_device / fail_device (the only places that
+        # change membership), so the per-event queries never rebuild it.
+        self._active = list(self.devices)
         if placement == "layer_shard":
             self._stage_us = [
                 acc.cycles_to_us(c)
@@ -147,13 +151,13 @@ class WorkerPool:
         return len(self.devices)
 
     @property
-    def alive_devices(self) -> list[Device]:
-        return [d for d in self.devices if d.alive]
-
-    @property
     def active_devices(self) -> list[Device]:
-        """Devices that may take new batches: alive and not draining."""
-        return [d for d in self.devices if d.alive and not d.draining]
+        """Devices that may take new batches: alive and not draining.
+
+        In device-id order.  This is the pool's own list: read it, do
+        not mutate it.
+        """
+        return self._active
 
     @property
     def device_failures(self) -> int:
@@ -169,8 +173,8 @@ class WorkerPool:
         weights are gone).
         """
         if self.placement == "replicate":
-            return bool(self.active_devices)
-        return all(d.alive for d in self.devices)
+            return bool(self._active)
+        return len(self._active) == len(self.devices)
 
     def add_device(self, now_us: float) -> Device:
         """Grow a ``"replicate"`` pool by one replica (autoscale-up).
@@ -186,6 +190,7 @@ class WorkerPool:
             len(self.devices), free_at_us=now_us, activated_us=now_us
         )
         self.devices.append(device)
+        self._active.append(device)
         if self._caches is not None:
             self._caches.append(WeightCache(self._caches[0].capacity_bytes))
         self._recount_contenders()
@@ -210,6 +215,7 @@ class WorkerPool:
             )
         device.draining = True
         device.retired_us = max(now_us, device.free_at_us)
+        self._active.remove(device)
         self._recount_contenders()
         return device
 
@@ -217,7 +223,7 @@ class WorkerPool:
         """Re-derive DRAM-channel contention from the active replicas."""
         if self.mem is not None:
             self._contenders = contenders_per_channel(
-                max(1, len(self.active_devices)), self.mem.shared_channels
+                max(1, len(self._active)), self.mem.shared_channels
             )
 
     def fail_device(self, device_id: int, at_us: float) -> None:
@@ -227,13 +233,15 @@ class WorkerPool:
         device = self.devices[device_id]
         if device.alive:
             device.fail(at_us)
+            if not device.draining:
+                self._active.remove(device)
 
     def next_free_us(self) -> float:
         """Earliest time the pool can accept another batch."""
         if not self.pool_alive:
             return float("inf")
         if self.placement == "replicate":
-            return min(d.free_at_us for d in self.active_devices)
+            return min(d.free_at_us for d in self._active)
         return self.devices[0].free_at_us
 
     def can_accept(self, now_us: float) -> bool:
@@ -251,8 +259,7 @@ class WorkerPool:
             raise ServingError("dispatch to a dead pool")
         if self.placement == "replicate":
             device = min(
-                self.active_devices,
-                key=lambda d: (d.free_at_us, d.device_id),
+                self._active, key=lambda d: (d.free_at_us, d.device_id)
             )
             start = max(now_us, device.free_at_us)
             if self.mem is None:

@@ -235,6 +235,10 @@ def simulate_serving(
             heap, (request.arrival_us, _ARRIVAL, next(seq), request)
         )
     remaining_arrivals = len(requests)
+    # Time of the one _DEVICE_FREE wakeup in the heap (inf: none).  A
+    # busy pool pushes a wakeup only when it frees earlier than that;
+    # a later free time is re-examined when the pending wakeup fires.
+    device_free_pending = float("inf")
 
     def attempt(dispatched_us: float, outcome) -> AttemptSpan:
         """Trace view of one dispatch attempt (tracer-only path)."""
@@ -245,7 +249,7 @@ def simulate_serving(
         )
 
     def attempt_dispatch(now_us: float) -> None:
-        nonlocal retried
+        nonlocal retried, device_free_pending
         while len(queue):
             if not pool.pool_alive:
                 # Degraded to dead: strand everything still queued.
@@ -260,9 +264,11 @@ def simulate_serving(
                 return
             if not pool.can_accept(now_us):
                 free_at = pool.next_free_us()
-                heapq.heappush(
-                    heap, (free_at, _DEVICE_FREE, next(seq), None)
-                )
+                if free_at < device_free_pending:
+                    device_free_pending = free_at
+                    heapq.heappush(
+                        heap, (free_at, _DEVICE_FREE, next(seq), None)
+                    )
                 return
             batch = batcher.try_form(
                 queue, now_us, force=(remaining_arrivals == 0)
@@ -366,6 +372,8 @@ def simulate_serving(
 
     while heap:
         now_us, kind, _, payload = heapq.heappop(heap)
+        if kind == _DEVICE_FREE and now_us >= device_free_pending:
+            device_free_pending = float("inf")
         if kind == _ARRIVAL:
             remaining_arrivals -= 1
             record = RequestRecord(payload, "rejected")

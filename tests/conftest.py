@@ -6,6 +6,9 @@ the whole suite pays for training once.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,31 @@ def calibrated_quant(small_transformer, rng):
     tgt = rng.integers(1, 30, size=(2, 12))
     qt.calibrate([(src, tgt, np.array([12, 9]))])
     return qt
+
+
+@pytest.fixture(scope="session")
+def counted_run():
+    """``counted_run(run, *args)`` -> ``(run(*args), pops by event kind)``.
+
+    The serving and cluster event loops pop their heap once per simulated
+    event, and an event's kind is its second field.  Session-scoped so
+    hypothesis tests may use it.
+    """
+    def run_counted(run, *args):
+        kinds: Counter = Counter()
+        pop = heapq.heappop
+
+        def counting_pop(heap):
+            event = pop(heap)
+            kinds[event[1]] += 1
+            return event
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heapq, "heappop", counting_pop)
+            result = run(*args)
+        return result, kinds
+
+    return run_counted
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,171 @@
+"""The serving event loop stays linear in the work it simulates.
+
+Every simulated event is one ``heapq.heappop``, so the tests count pops
+(by event kind) with ``monkeypatch``.  The bounds come from the loop's
+push sites:
+
+* ``_ARRIVAL`` — one per offered request;
+* ``_WAKEUP`` for the queue timeout — at most one per admitted request;
+* ``_WAKEUP`` for a batching/expiry deadline — at most one per
+  ``attempt_dispatch`` that finds a free pool but no batch to cut.  Such
+  a call follows an arrival, an expiry, a device-free wakeup, or a
+  deadline wakeup whose head request left the queue (by dispatch or
+  expiry) before it fired;
+* ``_DEVICE_FREE`` — at most one pending at a time.  A new one is
+  pushed only after the pending one fired and the pool went busy again,
+  which takes a dispatch or a device failure, so there are at most
+  ``batches + num_devices + 1``.
+
+Summing the sites gives ``events <= 3 * offered + 3 * batches +
+2 * num_devices + 2``.  The measured cost is 1.2-2.2 events per request;
+a wakeup pushed on every busy-pool dispatch attempt instead makes it
+grow with the backlog (268 per request on the 3,000-request overload
+run of the repo benchmark).
+"""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.serving import simulate_serving
+from repro.serving.simulator import _ARRIVAL, _DEVICE_FREE
+
+#: Ceiling on events per request of the linear loop (measured 1.2-2.2).
+EVENTS_PER_REQUEST_MAX = 2.5
+
+
+@pytest.fixture(scope="module")
+def model():
+    return transformer_base()
+
+
+def _load(rate, num_requests):
+    # At 800 rps one device (~345 rps) stays busy and nearly every
+    # arrival finds the pool busy; 300 rps leaves it mostly idle.
+    return ServingConfig(
+        arrival_rate_rps=rate, num_requests=num_requests,
+        min_len=8, max_len=32, max_batch_requests=8,
+        max_wait_us=1000.0, queue_capacity=64, seed=0,
+    )
+
+
+class TestLoopGrowth:
+    @pytest.mark.parametrize("rate", [300.0, 800.0])
+    def test_events_per_request_flat_in_run_length(self, model, rate,
+                                                   counted_run):
+        per_request = []
+        for n in (600, 1200):
+            result, kinds = counted_run(
+                simulate_serving, model, paper_accelerator(), _load(rate, n)
+            )
+            assert kinds[_DEVICE_FREE] <= len(result.batches) + 1
+            per_request.append(sum(kinds.values()) / n)
+        small, large = per_request
+        assert large <= EVENTS_PER_REQUEST_MAX
+        assert large == pytest.approx(small, rel=0.05)
+
+
+@st.composite
+def serving_configs(draw):
+    devices = draw(st.integers(1, 3))
+    min_len = draw(st.integers(4, 32))
+    return ServingConfig(
+        arrival_rate_rps=draw(st.sampled_from([150.0, 600.0, 2400.0])),
+        num_requests=draw(st.integers(1, 120)),
+        min_len=min_len,
+        max_len=draw(st.integers(min_len, 64)),
+        queue_capacity=draw(st.integers(2, 64)),
+        queue_timeout_us=draw(st.sampled_from(
+            [float("inf"), 4_000.0, 30_000.0]
+        )),
+        max_batch_requests=draw(st.integers(1, 8)),
+        max_wait_us=draw(st.sampled_from([0.0, 300.0, 2_000.0])),
+        num_devices=devices,
+        placement=draw(st.sampled_from(["replicate", "layer_shard"])),
+        batch_fault_rate=draw(st.sampled_from([0.0, 0.3])),
+        device_failure_rate=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        max_retries=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestLinearBound:
+    @settings(max_examples=40, deadline=None)
+    @given(serving=serving_configs(), abft=st.booleans())
+    def test_events_linear_in_offered_and_batches(self, counted_run,
+                                                  serving, abft):
+        model = transformer_base()
+        acc = paper_accelerator().with_updates(abft_protected=abft)
+        result, kinds = counted_run(simulate_serving, model, acc, serving)
+        m = result.metrics
+        batches = len(result.batches)
+        assert kinds[_ARRIVAL] == m.offered
+        assert kinds[_DEVICE_FREE] <= batches + m.device_failures + 1
+        assert sum(kinds.values()) <= (
+            3 * m.offered + 3 * batches + 2 * serving.num_devices + 2
+        )
+
+
+#: Three overloaded runs with their ``dataclasses.astuple(metrics)`` and
+#: record-status tallies, recorded before the loop kept one pending
+#: device-free wakeup.  Dropping redundant wakeups must not move any of
+#: them; a change to equal-time event ordering would.
+OUTCOME_PINS = {
+    "timeout": (
+        ServingConfig(
+            arrival_rate_rps=900.0, num_requests=240, min_len=8,
+            max_len=32, queue_timeout_us=50_000.0, max_wait_us=1000.0,
+            seed=3,
+        ),
+        (240, 128, 0, 112, 0.4666666666666667, 55173.393177571896,
+         57532.49186875089, 57668.044609716744, 51205.33328113823,
+         359.1612552102229, 6969.973108923389, 356385.8800000003, 46,
+         2.782608695652174, 0.84375, 0.9971940526936703,
+         0.3847425156125715, 31.584921563435703, 47, 0, 0, 0, 0, 0, 0,
+         0.0, 0, {}),
+        {"completed": 128, "expired": 112},
+    ),
+    "abft_failures": (
+        ServingConfig(
+            arrival_rate_rps=1500.0, num_requests=240, num_devices=3,
+            batch_fault_rate=0.2, device_failure_rate=0.02, max_retries=2,
+            queue_capacity=128, seed=3,
+        ),
+        (240, 186, 51, 0, 0.2125, 255721.83785578306, 631769.4327483354,
+         679237.5936011625, 275413.20037135965, 212.44568015238323,
+         7827.366914431625, 875517.9200000007, 142, 1.3309859154929577,
+         0.7540713028169014, 0.5235103811467383, 0.17850806349081247,
+         58.47068856668103, 128, 3, 34, 0, 2, 0, 0, 0.0, 0, {}),
+        {"completed": 186, "failed": 3, "rejected": 51},
+    ),
+    "layer_shard": (
+        ServingConfig(
+            arrival_rate_rps=2400.0, num_requests=240, num_devices=3,
+            placement="layer_shard", queue_timeout_us=40_000.0, seed=3,
+        ),
+        (240, 175, 28, 37, 0.2708333333333333, 72613.93615986466,
+         94245.9069480624, 97526.95049038922, 62043.93666085888,
+         825.6691576711963, 29261.7149478672, 211949.30000000037, 127,
+         1.3779527559055118, 0.7630413385826772, 0.8558851574409541,
+         0.5384155550407573, 43.987946252375735, 64, 0, 0, 0, 0, 0, 0,
+         0.0, 0, {}),
+        {"completed": 175, "expired": 37, "rejected": 28},
+    ),
+}
+
+
+class TestOutcomePins:
+    @pytest.mark.parametrize("name", sorted(OUTCOME_PINS))
+    def test_overloaded_outcomes_unchanged(self, model, name):
+        serving, metrics, tally = OUTCOME_PINS[name]
+        # Only the fault scenario runs on ABFT-protected devices.
+        acc = paper_accelerator().with_updates(
+            abft_protected=serving.batch_fault_rate > 0
+        )
+        result = simulate_serving(model, acc, serving)
+        assert dataclasses.astuple(result.metrics) == metrics
+        assert Counter(r.status for r in result.records) == tally
