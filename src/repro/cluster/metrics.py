@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..serving.metrics import percentile
 from ..telemetry.instrument import record_cluster
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import MetricsRegistry, sample_stats
 
 #: Request outcomes a tenant's offered traffic resolves into.
 OUTCOMES = ("completed", "shed", "rejected", "expired")
@@ -161,23 +160,6 @@ class ClusterMetrics:
         return rows
 
 
-def _latency_stats(latencies: list[float]) -> tuple[float, float, float]:
-    """Empty-safe (p50, p99, mean): all 0.0 when nothing completed.
-
-    Zero — not NaN — so windowed summaries for a tenant that admitted
-    no requests survive ``json.dump(..., allow_nan=False)`` and
-    comparisons in downstream gates.
-    """
-    if not latencies:
-        return 0.0, 0.0, 0.0
-    ordered = sorted(latencies)
-    return (
-        percentile(ordered, 50),
-        percentile(ordered, 99),
-        sum(ordered) / len(ordered),
-    )
-
-
 def compute_cluster_metrics(
     *,
     policy: str,
@@ -235,7 +217,7 @@ def compute_cluster_metrics(
     for name, offered in tenant_offered.items():
         outcomes = tenant_outcomes[name]
         attained = tenant_slo_attained[name]
-        p50, p99, mean = _latency_stats(tenant_latencies_us[name])
+        p50, p99, mean = sample_stats(tenant_latencies_us[name], (50, 99))
         tenants[name] = TenantSummary(
             offered=offered,
             completed=outcomes.get("completed", 0),
@@ -303,7 +285,7 @@ def compute_cluster_metrics(
     all_latencies = [
         lat for lats in tenant_latencies_us.values() for lat in lats
     ]
-    p50, p99, mean = _latency_stats(all_latencies)
+    p50, p99, mean = sample_stats(all_latencies, (50, 99))
     seconds = makespan_us / 1e6
     metrics = ClusterMetrics(
         offered=offered,

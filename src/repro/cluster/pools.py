@@ -30,6 +30,7 @@ from ..gpu_model.v100 import GpuSpec, v100_batched
 from ..serving.admission import AdmissionQueue
 from ..serving.batching import BatchCostModel, DynamicBatcher
 from ..serving.devices import WorkerPool
+from ..serving.kernel import PoolState
 from ..telemetry.registry import percentile
 
 #: Time base of GPU-pool "cycles": 1000 MHz -> one cycle is one
@@ -124,11 +125,10 @@ def build_cost_model(
     )
 
 
-class PoolRuntime:
-    """One pool's live state inside the cluster event loop.
+class PoolRuntime(PoolState):
+    """One cluster pool: a kernel :class:`PoolState` with no fault rates.
 
-    Bundles the admission queue, the dynamic batcher, the worker pool
-    and the router/autoscaler bookkeeping (latency EWMA, completed-
+    Adds the router/autoscaler bookkeeping (latency EWMA, completed-
     latency window, busy-time snapshots, cooldown stamps) that the
     cluster-level policies read.
     """
@@ -140,21 +140,19 @@ class PoolRuntime:
         self.config = config
         self.name = config.name
         self.cost = build_cost_model(config, model, seq_len)
-        self.workers = WorkerPool(
-            config.num_devices, config.placement, self.cost, self.cost.acc,
-            mem=config.memory if config.kind == "fpga" else None,
-            track_prefix=f"{config.name}.",
-        )
-        self.queue = AdmissionQueue(
-            cluster.queue_capacity, cluster.queue_timeout_us
-        )
-        self.batcher = DynamicBatcher(
-            seq_len, cluster.max_batch_requests, cluster.max_wait_us
+        super().__init__(
+            AdmissionQueue(cluster.queue_capacity, cluster.queue_timeout_us),
+            DynamicBatcher(
+                seq_len, cluster.max_batch_requests, cluster.max_wait_us
+            ),
+            WorkerPool(
+                config.num_devices, config.placement, self.cost,
+                self.cost.acc,
+                mem=config.memory if config.kind == "fpga" else None,
+                track_prefix=f"{config.name}.",
+            ),
         )
         self.run_us = self.cost.run_us()
-        # Time of the pool's one pending _POOL_FREE wakeup in the
-        # cluster event heap (inf: none pending).
-        self.free_wakeup_us = float("inf")
         # Router state: latency EWMA seeded with one uncontended run so
         # the first routing decisions already see the pool's speed.
         self.ewma_us = self.run_us

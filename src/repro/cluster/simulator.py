@@ -1,20 +1,18 @@
-"""Discrete-event cluster simulation: router + pools + autoscaler.
+"""Cluster simulation: router + N pools + autoscaler on the event kernel.
 
-:func:`simulate_cluster` drives a merged multi-tenant workload through
-the SLO-aware router into N heterogeneous pools — each one an existing
-:mod:`repro.serving` admission queue + dynamic batcher + worker pool —
-while a threshold autoscaler grows and drains replicate pools from the
-live telemetry signals.  One event heap orders everything:
-
-* ``ARRIVAL`` — a request reaches the router, which picks a pool (or
-  sheds under the ``"slo"`` policy) and the pool's queue admits or
-  rejects it;
-* ``COMPLETION`` — a dispatched batch finishes; latencies, SLO
-  attainment and the router's per-pool EWMA update *here*, so routing
-  only ever sees information from the past;
-* ``POOL_FREE`` / ``WAKEUP`` — per-pool dispatch retries and batching
-  / expiry deadlines, exactly as in the single-pool simulator;
-* ``SCALER`` — periodic autoscaler ticks.
+:func:`simulate_cluster` runs a merged multi-tenant workload through the
+SLO-aware router into N heterogeneous pools (each a
+:class:`~repro.cluster.pools.PoolRuntime`: a kernel pool with no fault
+rates plus the router and autoscaler bookkeeping) while a threshold
+autoscaler grows and drains replicate pools.  Its hooks on the
+:class:`~repro.serving.kernel.EventKernel`: ``route`` is the
+:class:`~repro.cluster.router.Router`, which may shed; ``dropped``
+records a rejected or expired request; ``dispatched`` does batch
+accounting and queue-wait spans and pushes a ``COMPLETION`` event;
+``completed`` updates records, SLO attainment and the router's per-pool
+EWMA there, so routing only ever sees the past; ``scale`` runs one
+autoscaler tick per ``SCALER`` event, hands back each pool that gained
+a device, and pushes the next tick while work remains.
 
 The run is exactly reproducible from its
 :class:`~repro.config.ClusterConfig`; the result carries per-tenant and
@@ -25,17 +23,15 @@ marker tracks and per-pool counter tracks.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..config import ClusterConfig, ModelConfig
-from ..core.trace import TraceSpan, counter_events, write_span_trace
+from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
-from ..obs.spans import AttemptSpan, request_trace
-from ..serving.simulator import attempt_boundary
+from ..obs.spans import request_trace
+from ..serving.kernel import COMPLETION, SCALER, EventKernel, attempt_span
 from .autoscaler import Autoscaler, ScaleAction
 from .metrics import OUTCOMES, ClusterMetrics, compute_cluster_metrics
 from .pools import PoolRuntime
@@ -46,8 +42,6 @@ if TYPE_CHECKING:
     from ..obs.slo import BurnRateMonitor
     from ..obs.spans import TraceCollector
     from ..telemetry.registry import MetricsRegistry
-
-_COMPLETION, _ARRIVAL, _POOL_FREE, _WAKEUP, _SCALER = 0, 1, 2, 3, 4
 
 #: Default SA row count / max sequence length for cluster runs.
 DEFAULT_SEQ_LEN = 64
@@ -103,22 +97,14 @@ class ClusterResult:
         ``extra_spans`` appends caller-supplied tracks — e.g. a
         :class:`~repro.obs.slo.BurnRateMonitor`'s ``slo_alerts`` row.
         """
-        spans = self.spans + list(extra_spans or ())
-        counters = []
-        for pool_name, samples in self.depth_samples.items():
-            if samples:
-                counters.extend(counter_events(
-                    f"{pool_name}.queue_depth",
-                    sorted(samples, key=lambda s: s[0]),
-                ))
-        for pool_name, samples in self.device_samples.items():
-            if samples:
-                counters.extend(counter_events(
-                    f"{pool_name}.devices",
-                    sorted(samples, key=lambda s: s[0]),
-                ))
+        counters = counter_tracks(
+            [(f"{pool}.queue_depth", samples)
+             for pool, samples in self.depth_samples.items()]
+            + [(f"{pool}.devices", samples)
+               for pool, samples in self.device_samples.items()]
+        )
         return write_span_trace(
-            spans, path, counters=counters,
+            self.spans + list(extra_spans or ()), path, counters=counters,
             other_data={
                 "router_policy": self.metrics.router_policy,
                 "slo_attainment": self.metrics.slo_attainment,
@@ -126,6 +112,133 @@ class ClusterResult:
                 "makespan_us": self.metrics.makespan_us,
             },
         )
+
+
+class _ClusterRun(EventKernel):
+    """:func:`simulate_cluster`'s hooks over the cluster's pools."""
+
+    def __init__(self, requests, pools, cluster, tracer, monitor) -> None:
+        super().__init__(requests, pools)
+        self.cluster, self.tracer, self.monitor = cluster, tracer, monitor
+        self.by_name = {p.name: p for p in pools}
+        self.router = Router(cluster, pools)
+        self.scaler = Autoscaler(cluster.autoscaler, pools)
+        if (monitor is not None
+                and cluster.autoscaler.scale_up_burn_rate is not None):
+            self.scaler.attach_burn_source(monitor.max_short_burn)
+        self.records: dict[int, ClusterRecord] = {}
+        self.device_samples: dict[str, list[tuple]] = {
+            p.name: [(0.0, p.active_device_count)] for p in pools
+        }
+        self.in_flight = 0
+        if cluster.autoscaler.enabled:
+            self.push(cluster.autoscaler.interval_us, SCALER)
+
+    def route(self, request, now_us) -> Optional[PoolRuntime]:
+        record = ClusterRecord(request, "shed")
+        self.records[request.req_id] = record
+        pool = self.router.route(request, now_us)
+        if pool is None:
+            self.spans.append(TraceSpan(
+                name=f"req{request.req_id}.shed", track="router",
+                start_us=now_us, duration_us=0.0,
+                args={"tenant": request.tenant,
+                      "deadline_us": request.deadline_us},
+            ))
+            self._settle(request, now_us, "shed", None, None)
+            return None
+        record.status, record.pool = "queued", pool.name
+        pool.routed += 1
+        return pool
+
+    def dropped(self, request, pool, now_us, status) -> None:
+        self.records[request.req_id].status = status
+        end_us = (request.arrival_us + pool.queue.timeout_us
+                  if status == "expired" else None)
+        self._settle(request, now_us, status, end_us, {"pool": pool.name})
+
+    def _settle(self, request, now_us, status, end_us, attrs) -> None:
+        """Trace tree and monitor event of a request that never ran."""
+        if self.tracer is not None:
+            self.tracer.add(request_trace(
+                req_id=request.req_id, status=status,
+                arrival_us=request.arrival_us, end_us=end_us,
+                tenant=request.tenant, attrs=attrs,
+            ))
+        if self.monitor is not None:
+            self.monitor.observe(now_us, request.tenant, False)
+
+    def dispatched(self, pool, batch, now_us, attempts, failed,
+                   corrupted) -> None:
+        pool.batches += 1
+        pool.batch_log.append((batch.num_requests, batch.total_tokens))
+        self.in_flight += batch.num_requests
+        for request in batch.requests:
+            self.records[request.req_id].dispatched_us = now_us
+            wait = now_us - request.arrival_us
+            if wait > 0:
+                self.spans.append(TraceSpan(
+                    name=f"req{request.req_id}.wait",
+                    track=f"{pool.name}.queue",
+                    start_us=request.arrival_us, duration_us=wait,
+                    args={"tenant": request.tenant,
+                          "seq_len": request.seq_len,
+                          "batch": batch.batch_id},
+                ))
+        self.push(attempts[-1][1].completion_us, COMPLETION,
+                  (pool, batch, attempts))
+
+    def completed(self, payload, now_us) -> PoolRuntime:
+        pool, batch, attempts = payload
+        completion_us = attempts[-1][1].completion_us
+        self.in_flight -= batch.num_requests
+        pool.completed += batch.num_requests
+        for request in batch.requests:
+            record = self.records[request.req_id]
+            record.status = "completed"
+            record.completed_us = completion_us
+            record.attained = completion_us <= request.deadline_us
+            pool.observe_completion(
+                completion_us, record.latency_us, self.cluster.ewma_alpha
+            )
+            if self.tracer is not None:
+                self.tracer.add(request_trace(
+                    req_id=request.req_id, status="completed",
+                    arrival_us=request.arrival_us,
+                    dispatched_us=record.dispatched_us,
+                    attempts=tuple(attempt_span(pool.workers.acc, at, o)
+                                   for at, o in attempts),
+                    tenant=request.tenant,
+                    attrs={"pool": pool.name, "batch": batch.batch_id,
+                           "deadline_us": request.deadline_us,
+                           "attained": record.attained,
+                           "slo_violated": not record.attained},
+                ))
+            if self.monitor is not None:
+                self.monitor.observe(
+                    completion_us, request.tenant, record.attained
+                )
+        return pool
+
+    def scale(self, now_us) -> Iterator[PoolRuntime]:
+        for action in self.scaler.evaluate(now_us):
+            pool = self.by_name[action.pool]
+            self.device_samples[pool.name].append(
+                (now_us, pool.active_device_count)
+            )
+            self.spans.append(TraceSpan(
+                name=(f"{action.pool}.scale_{action.direction}"
+                      f".device{action.device_id}"),
+                track="autoscaler", start_us=now_us, duration_us=0.0,
+                args={"pool": action.pool, "direction": action.direction,
+                      "reason": action.reason, "device": action.device_id},
+            ))
+            if action.direction == "up":
+                yield pool
+        if self.remaining_arrivals > 0 or self.in_flight > 0 or any(
+            len(p.queue) for p in self.pools
+        ):
+            self.push(now_us + self.cluster.autoscaler.interval_us, SCALER)
 
 
 def simulate_cluster(
@@ -173,242 +286,11 @@ def simulate_cluster(
         PoolRuntime(pool_cfg, cluster, model, seq_len)
         for pool_cfg in cluster.pools
     ]
-    by_name = {p.name: p for p in pools}
-    router = Router(cluster, pools)
-    scaler = Autoscaler(cluster.autoscaler, pools)
-    if monitor is not None and cluster.autoscaler.scale_up_burn_rate is not None:
-        scaler.attach_burn_source(monitor.max_short_burn)
-
-    records: dict[int, ClusterRecord] = {}
-    spans: list[TraceSpan] = []
-    device_samples: dict[str, list[tuple]] = {
-        p.name: [(0.0, p.active_device_count)] for p in pools
-    }
-    in_flight = 0
-    remaining_arrivals = len(requests)
-
-    seq = itertools.count()
-    heap: list = []
-    for request in requests:
-        heapq.heappush(
-            heap, (request.arrival_us, _ARRIVAL, next(seq), request)
-        )
-    if cluster.autoscaler.enabled:
-        heapq.heappush(
-            heap, (cluster.autoscaler.interval_us, _SCALER, next(seq), None)
-        )
-
-    def attempt_dispatch(pool: PoolRuntime, now_us: float) -> None:
-        nonlocal in_flight
-        while len(pool.queue):
-            if not pool.workers.can_accept(now_us):
-                # One pending wakeup per pool: push only when the pool
-                # frees earlier than the wakeup already in the heap.
-                free_at = pool.workers.next_free_us()
-                if free_at < pool.free_wakeup_us:
-                    pool.free_wakeup_us = free_at
-                    heapq.heappush(
-                        heap, (free_at, _POOL_FREE, next(seq), pool)
-                    )
-                return
-            batch = pool.batcher.try_form(
-                pool.queue, now_us, force=(remaining_arrivals == 0)
-            )
-            if batch is None:
-                deadline = min(
-                    pool.batcher.next_deadline_us(pool.queue),
-                    pool.queue.next_expiry_us(),
-                )
-                if deadline != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (max(deadline, now_us), _WAKEUP, next(seq), pool),
-                    )
-                return
-            outcome = pool.workers.dispatch(batch, now_us)
-            pool.batches += 1
-            pool.batch_log.append((batch.num_requests, batch.total_tokens))
-            in_flight += batch.num_requests
-            spans.extend(outcome.spans)
-            for request in batch.requests:
-                record = records[request.req_id]
-                record.dispatched_us = now_us
-                wait = now_us - request.arrival_us
-                if wait > 0:
-                    spans.append(TraceSpan(
-                        name=f"req{request.req_id}.wait",
-                        track=f"{pool.name}.queue",
-                        start_us=request.arrival_us, duration_us=wait,
-                        args={"tenant": request.tenant,
-                              "seq_len": request.seq_len,
-                              "batch": batch.batch_id},
-                    ))
-            heapq.heappush(
-                heap,
-                (outcome.completion_us, _COMPLETION, next(seq),
-                 (pool, batch, outcome)),
-            )
-
-    def expire_queue(pool: PoolRuntime, now_us: float) -> None:
-        for request in pool.queue.expire(now_us):
-            records[request.req_id].status = "expired"
-            if tracer is not None:
-                tracer.add(request_trace(
-                    req_id=request.req_id, status="expired",
-                    arrival_us=request.arrival_us,
-                    end_us=request.arrival_us + cluster.queue_timeout_us,
-                    tenant=request.tenant,
-                    attrs={"pool": pool.name},
-                ))
-            if monitor is not None:
-                monitor.observe(now_us, request.tenant, False)
-
-    def run_scaler(now_us: float) -> None:
-        for action in scaler.evaluate(now_us):
-            pool = by_name[action.pool]
-            device_samples[pool.name].append(
-                (now_us, pool.active_device_count)
-            )
-            spans.append(TraceSpan(
-                name=(f"{action.pool}.scale_{action.direction}"
-                      f".device{action.device_id}"),
-                track="autoscaler",
-                start_us=now_us, duration_us=0.0,
-                args={"pool": action.pool, "direction": action.direction,
-                      "reason": action.reason,
-                      "device": action.device_id},
-            ))
-            if action.direction == "up":
-                attempt_dispatch(pool, now_us)
-        if remaining_arrivals > 0 or in_flight > 0 or any(
-            len(p.queue) for p in pools
-        ):
-            heapq.heappush(
-                heap,
-                (now_us + cluster.autoscaler.interval_us, _SCALER,
-                 next(seq), None),
-            )
-
-    while heap:
-        now_us, kind, _, payload = heapq.heappop(heap)
-        if kind == _COMPLETION:
-            pool, batch, outcome = payload
-            in_flight -= batch.num_requests
-            pool.completed += batch.num_requests
-            for request in batch.requests:
-                record = records[request.req_id]
-                record.status = "completed"
-                record.completed_us = outcome.completion_us
-                record.attained = (
-                    outcome.completion_us <= request.deadline_us
-                )
-                pool.observe_completion(
-                    outcome.completion_us, record.latency_us,
-                    cluster.ewma_alpha,
-                )
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=request.req_id, status="completed",
-                        arrival_us=request.arrival_us,
-                        dispatched_us=record.dispatched_us,
-                        attempts=(AttemptSpan(
-                            record.dispatched_us, outcome.start_us,
-                            outcome.completion_us,
-                            attempt_boundary(pool.workers.acc, outcome),
-                            attrs={"devices": ",".join(
-                                map(str, outcome.device_ids)
-                            )},
-                        ),),
-                        tenant=request.tenant,
-                        attrs={
-                            "pool": pool.name,
-                            "batch": batch.batch_id,
-                            "deadline_us": request.deadline_us,
-                            "attained": record.attained,
-                            "slo_violated": not record.attained,
-                        },
-                    ))
-                if monitor is not None:
-                    monitor.observe(
-                        outcome.completion_us, request.tenant,
-                        record.attained,
-                    )
-            attempt_dispatch(pool, now_us)
-            continue
-        if kind == _ARRIVAL:
-            remaining_arrivals -= 1
-            record = ClusterRecord(payload, "shed")
-            records[payload.req_id] = record
-            pool = router.route(payload, now_us)
-            if pool is None:
-                spans.append(TraceSpan(
-                    name=f"req{payload.req_id}.shed",
-                    track="router",
-                    start_us=now_us, duration_us=0.0,
-                    args={"tenant": payload.tenant,
-                          "deadline_us": payload.deadline_us},
-                ))
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=payload.req_id, status="shed",
-                        arrival_us=payload.arrival_us,
-                        tenant=payload.tenant,
-                    ))
-                if monitor is not None:
-                    monitor.observe(now_us, payload.tenant, False)
-                if remaining_arrivals == 0:
-                    for p in pools:
-                        attempt_dispatch(p, now_us)
-                continue
-            record.pool = pool.name
-            pool.routed += 1
-            if not pool.queue.offer(payload, now_us):
-                record.status = "rejected"
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=payload.req_id, status="rejected",
-                        arrival_us=payload.arrival_us,
-                        tenant=payload.tenant,
-                        attrs={"pool": pool.name},
-                    ))
-                if monitor is not None:
-                    monitor.observe(now_us, payload.tenant, False)
-            else:
-                record.status = "queued"
-                if cluster.queue_timeout_us != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (payload.arrival_us + cluster.queue_timeout_us,
-                         _WAKEUP, next(seq), pool),
-                    )
-            expire_queue(pool, now_us)
-            attempt_dispatch(pool, now_us)
-            # The last arrival force-flushes every pool's partial batch.
-            if remaining_arrivals == 0:
-                for p in pools:
-                    if p is not pool:
-                        attempt_dispatch(p, now_us)
-            continue
-        if kind == _SCALER:
-            run_scaler(now_us)
-            continue
-        # _POOL_FREE / _WAKEUP carry the pool they concern.
-        pool = payload
-        if kind == _POOL_FREE and now_us >= pool.free_wakeup_us:
-            pool.free_wakeup_us = float("inf")
-        expire_queue(pool, now_us)
-        attempt_dispatch(pool, now_us)
-
-    if any(r.status == "queued" for r in records.values()):
-        raise ServingError("cluster run ended with requests still queued")
-
-    first_arrival = requests[0].arrival_us if requests else 0.0
-    last_completion = max(
-        (r.completed_us for r in records.values()
-         if r.completed_us is not None),
-        default=first_arrival,
-    )
-    makespan_us = last_completion - first_arrival
+    run = _ClusterRun(requests, pools, cluster, tracer, monitor)
+    makespan_us = run.run()
+    records = run.records
+    last_completion = run.last_completion_us
+    router, scaler = run.router, run.scaler
 
     tenant_names = [t.name for t in cluster.tenants]
     tenant_offered = dict.fromkeys(tenant_names, 0)
@@ -449,7 +331,7 @@ def simulate_cluster(
         pool_depth_samples={
             p.name: list(p.queue.depth_samples) for p in pools
         },
-        pool_device_samples=device_samples,
+        pool_device_samples=run.device_samples,
         pool_busy_fraction={
             p.name: (
                 sum(d.busy_us for d in p.workers.devices)
@@ -469,9 +351,9 @@ def simulate_cluster(
         metrics=metrics,
         records=ordered,
         actions=list(scaler.actions),
-        spans=spans,
+        spans=run.spans,
         depth_samples={
             p.name: list(p.queue.depth_samples) for p in pools
         },
-        device_samples=device_samples,
+        device_samples=run.device_samples,
     )

@@ -19,7 +19,7 @@ Two pathways share the format:
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -155,6 +155,19 @@ def counter_events(
             "args": {name: value},
         })
     return events
+
+
+def counter_tracks(tracks: Iterable[tuple[str, Sequence[tuple]]]) -> list[dict]:
+    """:func:`counter_events` of every non-empty ``(name, samples)`` track.
+
+    Each track is sorted by timestamp first: simulators sample at event
+    times (e.g. batch completions, which retries push past the next
+    dispatch), not in time order.
+    """
+    return [
+        event for name, samples in tracks if samples
+        for event in counter_events(name, sorted(samples, key=lambda s: s[0]))
+    ]
 
 
 def write_span_trace(

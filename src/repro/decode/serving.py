@@ -33,10 +33,10 @@ import numpy as np
 
 from ..config import AcceleratorConfig, DecodeConfig, ModelConfig
 from ..core.cycle_model import ffn_cycle_breakdown
-from ..core.trace import TraceSpan, counter_events, write_span_trace
+from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import stream_trace
-from ..serving.metrics import percentile
+from ..telemetry.registry import sample_stats
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
 
@@ -123,14 +123,9 @@ class DecodeResult:
 
     def write_trace(self, path: str) -> int:
         """Write spans + the KV hit-rate counter as Chrome JSON."""
-        counters = []
-        if self.kv_samples:
-            counters.extend(counter_events(
-                "kv_cache_hit_rate",
-                sorted(self.kv_samples, key=lambda s: s[0]),
-            ))
         return write_span_trace(
-            self.spans, path, counters=counters,
+            self.spans, path,
+            counters=counter_tracks([("kv_cache_hit_rate", self.kv_samples)]),
             other_data={
                 "completed": self.metrics.completed,
                 "tokens_per_s": self.metrics.tokens_per_s,
@@ -159,11 +154,6 @@ def sample_decode_streams(decode: DecodeConfig) -> list[DecodeStream]:
             )),
         ))
     return streams
-
-
-def _percentile(values: list, q: float) -> float:
-    """Nearest-rank percentile, 0.0 for an empty sample."""
-    return percentile(values, q) if values else 0.0
 
 
 class _CostModel:
@@ -489,6 +479,7 @@ def simulate_decode(
         default=first_arrival,
     )
     makespan_us = last_completion - first_arrival
+    prefill_p50, prefill_p99, _ = sample_stats(prefill_latencies, (50, 99))
     metrics = DecodeMetrics(
         offered=offered,
         completed=completed,
@@ -500,8 +491,8 @@ def simulate_decode(
         tokens_per_s=(
             decoded_tokens / (makespan_us / 1e6) if makespan_us else 0.0
         ),
-        prefill_p50_us=_percentile(prefill_latencies, 50),
-        prefill_p99_us=_percentile(prefill_latencies, 99),
+        prefill_p50_us=prefill_p50,
+        prefill_p99_us=prefill_p99,
         mean_token_latency_us=(
             sum(token_gaps) / len(token_gaps) if token_gaps else 0.0
         ),

@@ -1,0 +1,248 @@
+"""The one discrete-event kernel under serving and cluster simulation.
+
+:class:`EventKernel` owns the only event heap.  Events are
+``(time_us, kind, seq, payload)`` tuples, so equal-time events pop by
+kind (``COMPLETION < ARRIVAL < POOL_FREE < WAKEUP < SCALER``), then in
+push order.  A simulator subclasses the kernel and fills in its hooks
+over a list of :class:`PoolState` pools; the kernel never branches on
+which simulator it runs.
+
+Per event: an ``ARRIVAL`` is routed to a pool, whose queue admits or
+rejects it; ``POOL_FREE`` and ``WAKEUP`` name a pool; every one of these
+runs expiry, then dispatch, on its pool.  The last arrival also
+force-flushes every other pool's partial batch.  A ``COMPLETION``
+dispatches on the pool its hook returns, a ``SCALER`` tick on each pool
+its hook yields.  Dispatch strands the queue of a dead pool, and runs
+each batch through the pool's fault model: a device fail-stop draw per
+run, and ABFT detect-and-retry up to ``max_retries`` (without ABFT a
+fault completes silently, corrupted).  A zero rate draws nothing from
+the pool's fault stream.
+
+Push sites, which bound the event count linearly:
+
+* ``ARRIVAL`` — one per offered request, all pushed up front;
+* ``WAKEUP`` — one queue timeout per admitted request, plus at most one
+  batching/expiry deadline per dispatch attempt that finds a free pool
+  but no batch to cut;
+* ``POOL_FREE`` — at most one pending per pool (``free_wakeup_us``).  A
+  busy pool pushes one only when it frees earlier than the pending one,
+  and popping one at or after its time clears it, so a new one follows
+  a dispatch, a device failure or a replica change: at most
+  ``batches + device failures + scale actions + pools``;
+* ``COMPLETION`` / ``SCALER`` — whatever the hooks push.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from ..config import AcceleratorConfig
+from ..core.trace import TraceSpan
+from ..errors import ServingError
+from ..obs.spans import AttemptSpan
+from .admission import AdmissionQueue
+from .batching import Batch, DynamicBatcher
+from .devices import DispatchOutcome, WorkerPool
+from .workload import Request
+
+COMPLETION, ARRIVAL, POOL_FREE, WAKEUP, SCALER = range(5)
+
+_INF = float("inf")
+
+
+def attempt_span(
+    acc: AcceleratorConfig, dispatched_us: float, outcome: DispatchOutcome
+) -> AttemptSpan:
+    """Trace view of one dispatch attempt.
+
+    Compute ends and the exposed reload stall begins at a boundary only
+    single-span (replicated) runs carry in their span args; layer-sharded
+    pipelines interleave stages and leave it ``None``.
+    """
+    boundary = None
+    args = outcome.spans[0].args if len(outcome.spans) == 1 else {}
+    if args.get("cycles") is not None and args.get("reload_cycles") is not None:
+        boundary = outcome.start_us + acc.cycles_to_us(
+            args["cycles"] - args["reload_cycles"]
+        )
+    return AttemptSpan(
+        dispatched_us, outcome.start_us, outcome.completion_us, boundary,
+        attrs={"devices": ",".join(map(str, outcome.device_ids))},
+    )
+
+
+@dataclass(eq=False)
+class PoolState:
+    """One pool as the kernel drives it: queue, batcher, workers, faults.
+
+    Every batch run draws a device fail-stop with ``device_failure_rate``
+    and a batch fault with ``batch_fault_rate`` from ``fault_rng``.
+    ``free_wakeup_us`` is the pool's one pending ``POOL_FREE`` time (inf:
+    none); ``retried`` counts ABFT re-runs.
+    """
+
+    queue: AdmissionQueue
+    batcher: DynamicBatcher
+    workers: WorkerPool
+    batch_fault_rate: float = 0.0
+    device_failure_rate: float = 0.0
+    max_retries: int = 0
+    fault_rng: Optional[np.random.Generator] = None
+    free_wakeup_us: float = _INF
+    retried: int = 0
+
+
+class EventKernel:
+    """The dispatch loop; subclasses supply the hooks.
+
+    Hooks: ``route(request, now_us)`` returns the request's pool, or
+    ``None`` when it settled the request itself (admitted requests leave
+    the queue by dispatch or through ``dropped``);
+    ``dropped(request, pool, now_us, status)`` ends a request that never
+    ran: ``"rejected"`` (queue full), ``"expired"`` (timed out) or
+    ``"failed"`` (stranded on a dead pool);
+    ``dispatched(pool, batch, now_us, attempts, failed, corrupted)`` sees
+    each batch once its runs are done, ``attempts`` holding every
+    ``(start_us, outcome)``; ``completed(payload, now_us)`` and
+    ``scale(now_us)`` handle the events hooks push.
+
+    :meth:`run` returns the makespan (first arrival to last successful
+    completion).  ``spans`` collects run spans and fault markers; hooks
+    append their own.
+    """
+
+    def __init__(
+        self, requests: Sequence[Request], pools: list[PoolState]
+    ) -> None:
+        self.pools = pools
+        self.spans: list[TraceSpan] = []
+        self.remaining_arrivals = len(requests)
+        self.first_arrival_us = requests[0].arrival_us if requests else 0.0
+        self.last_completion_us = -_INF
+        self._heap: list = []
+        self._seq = itertools.count()
+        for request in requests:
+            self.push(request.arrival_us, ARRIVAL, request)
+
+    def push(self, time_us: float, kind: int, payload: object = None) -> None:
+        heapq.heappush(self._heap, (time_us, kind, next(self._seq), payload))
+
+    def run(self) -> float:
+        heap, dispatch, dropped = self._heap, self.attempt_dispatch, self.dropped
+        while heap:
+            now_us, kind, _, payload = heapq.heappop(heap)
+            if kind == ARRIVAL:
+                self.remaining_arrivals -= 1
+                pool = self.route(payload, now_us)
+                if pool is not None:
+                    queue = pool.queue
+                    if not queue.offer(payload, now_us):
+                        dropped(payload, pool, now_us, "rejected")
+                    elif queue.timeout_us != _INF:
+                        self.push(payload.arrival_us + queue.timeout_us,
+                                  WAKEUP, pool)
+            elif kind == COMPLETION:
+                dispatch(self.completed(payload, now_us), now_us)
+                continue
+            elif kind == SCALER:
+                for pool in self.scale(now_us):
+                    dispatch(pool, now_us)
+                continue
+            else:
+                pool = payload
+                if kind == POOL_FREE and now_us >= pool.free_wakeup_us:
+                    pool.free_wakeup_us = _INF
+            if pool is not None:
+                for request in pool.queue.expire(now_us):
+                    dropped(request, pool, now_us, "expired")
+                dispatch(pool, now_us)
+            if kind == ARRIVAL and not self.remaining_arrivals:
+                # The last arrival force-flushes every pool's partial batch.
+                for other in self.pools:
+                    if other is not pool:
+                        dispatch(other, now_us)
+        if any(len(pool.queue) for pool in self.pools):
+            raise ServingError("simulation ended with requests still queued")
+        if self.last_completion_us == -_INF:
+            self.last_completion_us = self.first_arrival_us
+        return self.last_completion_us - self.first_arrival_us
+
+    def attempt_dispatch(self, pool: PoolState, now_us: float) -> None:
+        """Dispatch batches from ``pool``'s queue while it can take them."""
+        queue, workers = pool.queue, pool.workers
+        while len(queue):
+            if not workers.pool_alive:
+                for request in queue.pop_front(len(queue), now_us):
+                    self.dropped(request, pool, now_us, "failed")
+                return
+            if not workers.can_accept(now_us):
+                free_at = workers.next_free_us()
+                if free_at < pool.free_wakeup_us:
+                    pool.free_wakeup_us = free_at
+                    self.push(free_at, POOL_FREE, pool)
+                return
+            batch = pool.batcher.try_form(
+                queue, now_us, force=(self.remaining_arrivals == 0)
+            )
+            if batch is None:
+                deadline = min(pool.batcher.next_deadline_us(queue),
+                               queue.next_expiry_us())
+                if deadline != _INF:
+                    self.push(max(deadline, now_us), WAKEUP, pool)
+                return
+            self._run_batch(pool, batch, now_us)
+
+    def _run_batch(self, pool: PoolState, batch: Batch, now_us: float) -> None:
+        workers, abft = pool.workers, pool.workers.acc.abft_protected
+        # Seeded by the pool's builder (ServingConfig.seed), or None for a
+        # pool with zero rates, which never draws.
+        rng: Optional[np.random.Generator] = pool.fault_rng
+        attempts = [(now_us, self._run(pool, batch, now_us))]
+        faulted = (pool.batch_fault_rate > 0.0
+                   and rng.random() < pool.batch_fault_rate)
+        # ABFT flags a faulted run at drain and the batch re-runs,
+        # paying full cycles again.
+        while (faulted and abft and len(attempts) <= pool.max_retries
+               and workers.pool_alive):
+            retry, retry_at = len(attempts), attempts[-1][1].completion_us
+            pool.retried += 1
+            self.spans.append(TraceSpan(
+                name=f"batch{batch.batch_id}.retry{retry}",
+                track="faults", start_us=retry_at, duration_us=0.0,
+                args={"event": "abft_retry", "attempt": retry},
+            ))
+            attempts.append((retry_at, self._run(pool, batch, retry_at)))
+            faulted = rng.random() < pool.batch_fault_rate
+        failed = faulted and abft
+        if not failed:
+            self.last_completion_us = max(
+                self.last_completion_us, attempts[-1][1].completion_us
+            )
+        self.dispatched(pool, batch, now_us, attempts, failed,
+                        faulted and not abft)
+
+    def _run(
+        self, pool: PoolState, batch: Batch, at_us: float
+    ) -> DispatchOutcome:
+        """One device run of ``batch``, then its fail-stop draw."""
+        outcome = pool.workers.dispatch(batch, at_us)
+        self.spans.extend(outcome.spans)
+        rate = pool.device_failure_rate
+        rng: Optional[np.random.Generator] = pool.fault_rng
+        if rate > 0.0 and rng.random() < rate:
+            victims = outcome.device_ids
+            victim = victims[int(rng.integers(0, len(victims)))]
+            pool.workers.fail_device(victim, outcome.completion_us)
+            self.spans.append(TraceSpan(
+                name=f"device{victim}.failure",
+                track="faults", start_us=outcome.completion_us,
+                duration_us=0.0,
+                args={"event": "device_failure", "device": victim},
+            ))
+        return outcome

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import MetricsRegistry, sample_stats
 from ..telemetry.registry import percentile as percentile
 
 
@@ -49,7 +49,8 @@ class ServingMetrics:
         device_failures: Devices that fail-stopped during the run.
         rejection_rate: ``(rejected + expired) / offered``.
         latency percentiles / mean: Arrival-to-completion, us (only
-            completed requests; NaN when nothing completed).
+            completed requests; all 0.0 when nothing completed, never
+            NaN).
         throughput_rps: Completed requests per second of makespan.
         tokens_per_s: Valid tokens served per second of makespan.
         makespan_us: First arrival to last completion.
@@ -241,8 +242,9 @@ def metrics_from_registry(
     expired = int(outcomes.value(outcome="expired"))
     failed = int(outcomes.value(outcome="failed"))
     latency = registry.histogram("repro_serving_latency_us")
-    nan = float("nan")
-    have = latency.count() > 0
+    p50, p95, p99, mean = sample_stats(
+        latency.samples(), (50, 95, 99), total=latency.sum()
+    )
     seconds = makespan_us / 1e6
     num_batches = int(counter("repro_serving_batches_total").value())
     total_requests = counter("repro_serving_batch_requests_total").value()
@@ -277,10 +279,10 @@ def metrics_from_registry(
         rejected=rejected,
         expired=expired,
         rejection_rate=(rejected + expired) / offered if offered else 0.0,
-        latency_p50_us=latency.percentile(50) if have else nan,
-        latency_p95_us=latency.percentile(95) if have else nan,
-        latency_p99_us=latency.percentile(99) if have else nan,
-        latency_mean_us=latency.mean() if have else nan,
+        latency_p50_us=p50,
+        latency_p95_us=p95,
+        latency_p99_us=p99,
+        latency_mean_us=mean,
         throughput_rps=completed / seconds if seconds > 0 else 0.0,
         tokens_per_s=total_tokens / seconds if seconds > 0 else 0.0,
         makespan_us=makespan_us,

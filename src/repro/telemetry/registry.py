@@ -31,6 +31,7 @@ import math
 import re
 from bisect import bisect_left
 from collections.abc import Sequence
+from typing import Optional
 
 from ..errors import TelemetryError
 
@@ -63,6 +64,23 @@ def percentile(values: Sequence[float], pct: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return ordered[rank - 1]
+
+
+def sample_stats(
+    values: Sequence[float],
+    pcts: Sequence[float],
+    total: Optional[float] = None,
+) -> tuple[float, ...]:
+    """Nearest-rank ``(*percentiles, mean)``; all 0.0 (never NaN) if empty.
+
+    The mean divides ``total`` (a :class:`Histogram`'s running sum) when
+    given, else the sum of the sorted sample.
+    """
+    if not values:
+        return (0.0,) * (len(pcts) + 1)
+    ordered = sorted(values)
+    mean = (sum(ordered) if total is None else total) / len(ordered)
+    return (*(percentile(ordered, pct) for pct in pcts), mean)
 
 
 def _label_key(labels: dict) -> LabelKey:
@@ -260,6 +278,11 @@ class Histogram(Instrument):
     def mean(self, **labels: object) -> float:
         n = self.count(**labels)
         return self.sum(**labels) / n if n else float("nan")
+
+    def samples(self, **labels: object) -> list[float]:
+        """Raw samples of one series, in observation order."""
+        series = self._series.get(_label_key(labels))
+        return list(series.samples) if series is not None else []
 
     def percentile(self, pct: float, **labels: object) -> float:
         """Nearest-rank :func:`percentile` of one series."""

@@ -1,17 +1,17 @@
 """The serving event loop stays linear in the work it simulates.
 
 Every simulated event is one ``heapq.heappop``, so the tests count pops
-(by event kind) with ``monkeypatch``.  The bounds come from the loop's
-push sites:
+(by event kind) with ``monkeypatch``.  The bounds come from the push
+sites listed in :mod:`repro.serving.kernel`, for one pool:
 
-* ``_ARRIVAL`` — one per offered request;
-* ``_WAKEUP`` for the queue timeout — at most one per admitted request;
-* ``_WAKEUP`` for a batching/expiry deadline — at most one per
+* ``ARRIVAL`` — one per offered request;
+* ``WAKEUP`` for the queue timeout — at most one per admitted request;
+* ``WAKEUP`` for a batching/expiry deadline — at most one per
   ``attempt_dispatch`` that finds a free pool but no batch to cut.  Such
-  a call follows an arrival, an expiry, a device-free wakeup, or a
+  a call follows an arrival, an expiry, a pool-free wakeup, or a
   deadline wakeup whose head request left the queue (by dispatch or
   expiry) before it fired;
-* ``_DEVICE_FREE`` — at most one pending at a time.  A new one is
+* ``POOL_FREE`` — at most one pending at a time.  A new one is
   pushed only after the pending one fired and the pool went busy again,
   which takes a dispatch or a device failure, so there are at most
   ``batches + num_devices + 1``.
@@ -31,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.obs import TraceCollector
 from repro.serving import simulate_serving
-from repro.serving.simulator import _ARRIVAL, _DEVICE_FREE
+from repro.serving.kernel import ARRIVAL, POOL_FREE
 
 #: Ceiling on events per request of the linear loop (measured 1.2-2.2).
 EVENTS_PER_REQUEST_MAX = 2.5
@@ -62,7 +63,7 @@ class TestLoopGrowth:
             result, kinds = counted_run(
                 simulate_serving, model, paper_accelerator(), _load(rate, n)
             )
-            assert kinds[_DEVICE_FREE] <= len(result.batches) + 1
+            assert kinds[POOL_FREE] <= len(result.batches) + 1
             per_request.append(sum(kinds.values()) / n)
         small, large = per_request
         assert large <= EVENTS_PER_REQUEST_MAX
@@ -103,8 +104,8 @@ class TestLinearBound:
         result, kinds = counted_run(simulate_serving, model, acc, serving)
         m = result.metrics
         batches = len(result.batches)
-        assert kinds[_ARRIVAL] == m.offered
-        assert kinds[_DEVICE_FREE] <= batches + m.device_failures + 1
+        assert kinds[ARRIVAL] == m.offered
+        assert kinds[POOL_FREE] <= batches + m.device_failures + 1
         assert sum(kinds.values()) <= (
             3 * m.offered + 3 * batches + 2 * serving.num_devices + 2
         )
@@ -169,3 +170,60 @@ class TestOutcomePins:
         result = simulate_serving(model, acc, serving)
         assert dataclasses.astuple(result.metrics) == metrics
         assert Counter(r.status for r in result.records) == tally
+
+
+#: The two fault paths the overloaded pins above never reach, with
+#: ``astuple(metrics)``, status tallies, span count, trace count and the
+#: terminal reasons the traces carry.  ``pool_dead``: a two-stage
+#: layer_shard pipeline loses a stage and strands its queue.
+#: ``retries_exhausted``: ABFT detects a fault on every retry of some
+#: batches and fails them.
+FAULT_PATH_PINS = {
+    "pool_dead": (
+        False,
+        ServingConfig(
+            arrival_rate_rps=1200.0, num_requests=160, num_devices=2,
+            placement="layer_shard", device_failure_rate=0.05,
+            queue_capacity=128, seed=7,
+        ),
+        (160, 52, 0, 0, 0.0, 30690.844007015137, 59000.04666657038,
+         60384.25078730845, 33605.96502240606, 515.012107736571,
+         19005.927591278458, 100968.50000000006, 40, 1.3, 0.749609375,
+         0.8488073012870349, 0.5245636015192856, 9.703108511673705, 40,
+         108, 0, 0, 1, 0, 0, 0.0, 0, {}),
+        {"completed": 52, "failed": 108}, 133, 160,
+        {None: 52, "pool_dead": 108},
+    ),
+    "retries_exhausted": (
+        True,
+        ServingConfig(
+            arrival_rate_rps=600.0, num_requests=160, num_devices=2,
+            batch_fault_rate=0.6, max_retries=1, seed=7,
+        ),
+        (160, 71, 50, 0, 0.3125, 260601.57085903615, 338586.7138791982,
+         343710.85757321655, 227074.61132881005, 120.71582671160124,
+         6807.692537369737, 588158.1722471577, 85, 1.2941176470588236,
+         0.7360294117647059, 0.9231868154198267, 0.3072591958866498,
+         38.33051160725244, 64, 39, 54, 0, 0, 0, 0, 0.0, 0, {}),
+        {"completed": 71, "failed": 39, "rejected": 50}, 264, 160,
+        {None: 121, "retries_exhausted": 39},
+    ),
+}
+
+
+class TestFaultPathPins:
+    @pytest.mark.parametrize("name", sorted(FAULT_PATH_PINS))
+    def test_fault_path_outcomes_unchanged(self, model, name):
+        abft, serving, metrics, tally, spans, traces, reasons = (
+            FAULT_PATH_PINS[name]
+        )
+        acc = paper_accelerator().with_updates(abft_protected=abft)
+        tracer = TraceCollector()
+        result = simulate_serving(model, acc, serving, tracer=tracer)
+        assert dataclasses.astuple(result.metrics) == metrics
+        assert Counter(r.status for r in result.records) == tally
+        assert len(result.spans) == spans
+        assert len(tracer) == traces
+        assert Counter(
+            t.attrs.get("reason") for t in tracer.traces
+        ) == reasons

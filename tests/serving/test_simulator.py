@@ -6,6 +6,7 @@ rejection rate), dynamic batching beating the batch-1 baseline at the
 same arrival rate, and Chrome-trace export through ``core/trace.py``.
 """
 
+import dataclasses
 import json
 import math
 
@@ -219,3 +220,14 @@ class TestExplicitWorkload:
         ).metrics
         assert m.completed == 1
         assert not math.isnan(m.latency_p50_us)
+
+    def test_zero_completions_read_zero_latency(self, model, acc):
+        # Every run faults and ABFT gets no retries: nothing completes.
+        m = simulate_serving(
+            model, acc.with_updates(abft_protected=True),
+            _serving(batch_fault_rate=1.0, max_retries=0),
+        ).metrics
+        assert m.completed == 0 and m.failed == m.offered
+        assert (m.latency_p50_us, m.latency_p95_us, m.latency_p99_us,
+                m.latency_mean_us) == (0.0, 0.0, 0.0, 0.0)
+        json.dumps(dataclasses.asdict(m), allow_nan=False)
