@@ -11,7 +11,10 @@ gates on:
   ``prefill_chunk`` (what chunking exists to protect);
 * ``decode.kv_hit_rate`` — KV residency under ``decode_priority``
   (streams drain serially, so the Table II BRAM budget holds each
-  stream's working set).
+  stream's working set);
+* ``decode.events_per_request`` — event-kernel heap pops per stream of
+  the ``prefill_chunk`` run, deterministic and pinned exactly: a loop
+  that goes back to redundant wakeups fails it.
 
 The acceptance criteria double as assertions: chunking beats
 decode-priority on both prefill tail and token throughput for this
@@ -44,11 +47,16 @@ def pinned_decode_config(policy: str) -> DecodeConfig:
     )
 
 
-def test_bench_decode_mixed_serving(benchmark, base_model, bench_headline):
+def test_bench_decode_mixed_serving(benchmark, base_model, bench_headline,
+                                   heap_events):
     acc = AcceleratorConfig()
-    chunk = simulate_decode(
+    events_before = heap_events()
+    chunk_run = simulate_decode(
         base_model, acc, pinned_decode_config("prefill_chunk")
-    ).metrics
+    )
+    bench_headline("decode.events_per_request",
+                   (heap_events() - events_before) / len(chunk_run.records))
+    chunk = chunk_run.metrics
     prio = simulate_decode(
         base_model, acc, pinned_decode_config("decode_priority")
     ).metrics

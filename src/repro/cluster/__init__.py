@@ -25,7 +25,6 @@ from .workload import (
     ClusterRequest,
     cluster_workload,
     tenant_workload,
-    validate_cluster_workload,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "pinned_tenants",
     "simulate_cluster",
     "tenant_workload",
-    "validate_cluster_workload",
 ]

@@ -32,11 +32,12 @@ from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import request_trace
 from ..serving.kernel import COMPLETION, SCALER, EventKernel, attempt_span
+from ..serving.workload import validate_workload
 from .autoscaler import Autoscaler, ScaleAction
 from .metrics import OUTCOMES, ClusterMetrics, compute_cluster_metrics
 from .pools import PoolRuntime
 from .router import Router
-from .workload import ClusterRequest, cluster_workload, validate_cluster_workload
+from .workload import ClusterRequest, cluster_workload
 
 if TYPE_CHECKING:
     from ..obs.slo import BurnRateMonitor
@@ -273,7 +274,7 @@ def simulate_cluster(
         list(workload) if workload is not None
         else cluster_workload(cluster)
     )
-    validate_cluster_workload(requests, seq_len)
+    validate_workload(requests, seq_len)
     known_tenants = {t.name for t in cluster.tenants}
     for request in requests:
         if request.tenant not in known_tenants:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import ClusterConfig, TenantConfig
-from ..errors import ServingError
 from ..serving.workload import Request
 
 
@@ -157,26 +156,3 @@ def cluster_workload(cluster: ClusterConfig) -> list[ClusterRequest]:
         dataclasses.replace(request, req_id=i)
         for i, request in enumerate(merged)
     ]
-
-
-def validate_cluster_workload(
-    requests: list[ClusterRequest], max_seq_len: int
-) -> None:
-    """Check ids are dense, times sorted, and lengths fit the SA rows."""
-    prev = 0.0
-    for i, request in enumerate(requests):
-        if request.req_id != i:
-            raise ServingError(
-                f"cluster workload ids are not dense at position {i}"
-            )
-        if request.arrival_us < prev:
-            raise ServingError(
-                f"request {i} arrives at {request.arrival_us} before "
-                f"its predecessor at {prev}"
-            )
-        if not 0 < request.seq_len <= max_seq_len:
-            raise ServingError(
-                f"request {i} has seq_len {request.seq_len} outside "
-                f"(0, {max_seq_len}]"
-            )
-        prev = request.arrival_us

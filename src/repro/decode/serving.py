@@ -11,6 +11,11 @@ pool, interleaving the two phases under one of two policies:
   chunks round-robin with decode batches, bounding how long a prompt
   can monopolize the array.
 
+The run is hooks on the :class:`~repro.serving.kernel.EventKernel` over
+one pool: the queue holds each admitted stream until it finishes, the
+batcher is the policy, the workers are the devices, and ``dispatched``
+applies each unit's progress, K/V residency and records.
+
 Costs come from the closed-form decode models (property-tested against
 the event timelines): :func:`~repro.decode.cycle_model.prefill_layer_cycles`
 per layer for prompts, :func:`~repro.decode.cycle_model.decode_step_breakdown`
@@ -36,6 +41,8 @@ from ..core.cycle_model import ffn_cycle_breakdown
 from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import stream_trace
+from ..serving.devices import DispatchOutcome
+from ..serving.kernel import EventKernel, PoolState
 from ..telemetry.registry import sample_stats
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
@@ -52,6 +59,8 @@ __all__ = [
     "sample_decode_streams",
     "simulate_decode",
 ]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -199,16 +208,233 @@ class _CostModel:
         return self._step[context_len]
 
 
-@dataclass
+@dataclass(eq=False)
 class _Active:
     """Mutable progress of one admitted stream."""
 
     stream: DecodeStream
-    record: StreamRecord
-    chunks_left: int          # prefill tiles still to run
+    chunks: int               # prefill dispatches in all
     tokens_left: int
+    busy_until: float         # serializes the stream across devices
+    chunks_done: int = 0
     context: int = 0          # K/V positions cached so far
-    busy_until: float = 0.0   # serializes the stream across devices
+    first_token_us: Optional[float] = None
+
+
+class _StreamQueue:
+    """Decode's pool queue: every admitted stream until it finishes.
+
+    ``pending`` holds the streams still in prefill (FIFO), ``active``
+    those decoding.  ``offer`` rejects a stream while ``pending`` is
+    full; streams never time out.
+    """
+
+    timeout_us = _INF
+
+    def __init__(self, capacity: int, chunk_rows: Optional[int]) -> None:
+        # chunk_rows None: one prefill dispatch per prompt.
+        self.capacity, self.chunk_rows = capacity, chunk_rows
+        self.pending: list[_Active] = []
+        self.active: list[_Active] = []
+
+    def __len__(self) -> int:
+        return len(self.pending) + len(self.active)
+
+    def offer(self, stream: DecodeStream, now_us: float) -> bool:
+        if len(self.pending) >= self.capacity:
+            return False
+        chunks = (1 if self.chunk_rows is None
+                  else -(-stream.prefill_len // self.chunk_rows))
+        self.pending.append(_Active(
+            stream, chunks, stream.decode_tokens, stream.arrival_us
+        ))
+        return True
+
+    def expire(self, now_us: float) -> tuple:
+        return ()
+
+    def next_expiry_us(self) -> float:
+        return _INF
+
+
+class _Interleaver:
+    """Decode's pool batcher: the interleaving policy.
+
+    ``try_form`` returns a decode batch (the first ``max_batch`` idle
+    decoding streams, as a list) or the first idle prefill stream:
+    decode first under ``decode_priority``, kinds alternating whenever
+    both wait under the ``prefill_chunk`` round robin.  When it finds
+    nothing, every stream is busy and ``next_deadline_us`` is the
+    earliest ``busy_until`` — or inf while a wakeup at or before that
+    is still pending, so wakeups land at distinct unit ends.
+    """
+
+    def __init__(self, round_robin: bool, max_batch: int) -> None:
+        self.round_robin, self.max_batch = round_robin, max_batch
+        self.last_decode, self.wakeup_us = True, _INF
+
+    def try_form(self, queue: _StreamQueue, now_us: float, force=False):
+        if now_us >= self.wakeup_us:
+            self.wakeup_us = _INF
+        ready = [a for a in queue.active if a.busy_until <= now_us]
+        prefill = next(
+            (a for a in queue.pending if a.busy_until <= now_us), None
+        )
+        if ready and not (
+            self.round_robin and self.last_decode and prefill is not None
+        ):
+            self.last_decode = True
+            return ready[:self.max_batch]
+        if prefill is not None:
+            self.last_decode = False
+        return prefill
+
+    def next_deadline_us(self, queue: _StreamQueue) -> float:
+        deadline = min(a.busy_until for a in queue.pending + queue.active)
+        if deadline >= self.wakeup_us:
+            return _INF
+        self.wakeup_us = deadline
+        return deadline
+
+
+class _Devices:
+    """Decode's pool workers: they price and run each unit.
+
+    The lowest-index device free at dispatch (``free_us``) runs a unit.
+    A decode step adds the stream's new K/V row, then reads every
+    layer's pages; a batch costs its slowest step plus all refetch.
+    """
+
+    pool_alive = True
+
+    def __init__(self, num_devices: int, cost: _CostModel,
+                 kv: KVCacheModel, chunked: bool) -> None:
+        self.acc, self.cost, self.kv = cost.acc, cost, kv
+        self.chunked = chunked
+        self.free_us = [0.0] * num_devices
+        self.decode_batches = self.prefill_chunks = self.refetch_cycles = 0
+
+    def can_accept(self, now_us: float) -> bool:
+        return min(self.free_us) <= now_us
+
+    def next_free_us(self) -> float:
+        return min(self.free_us)
+
+    def dispatch(self, unit, at_us: float) -> DispatchOutcome:
+        device = next(i for i, t in enumerate(self.free_us) if t <= at_us)
+        cost = self.cost
+        if isinstance(unit, _Active):
+            stream = unit.stream
+            name = f"prefill.s{stream.stream_id}"
+            if self.chunked:
+                name += f".c{unit.chunks_done}"
+            cycles = cost.prefill_cycles(stream.prefill_len) // unit.chunks
+            args = {"prefill_len": stream.prefill_len}
+            self.prefill_chunks += 1
+        else:
+            step = refetch = 0
+            for item in unit:
+                item.context += 1
+                step = max(step, cost.step_cycles(item.context))
+                for layer in range(cost.num_layers):
+                    refetch += self.kv.lookup(
+                        item.stream.stream_id, layer, item.context
+                    ).refetch_cycles
+            name = f"decode.batch{self.decode_batches}"
+            cycles = step + refetch
+            args = {"streams": len(unit), "refetch_cycles": refetch}
+            self.decode_batches += 1
+            self.refetch_cycles += refetch
+        duration_us = cycles / self.acc.clock_mhz
+        self.free_us[device] = end_us = at_us + duration_us
+        span = TraceSpan(name=name, track=f"device{device}", start_us=at_us,
+                         duration_us=duration_us, args=args)
+        return DispatchOutcome(unit, at_us, end_us, [span], [device])
+
+
+class _DecodeRun(EventKernel):
+    """:func:`simulate_decode`'s hooks over its one pool."""
+
+    def __init__(self, arrivals, decode, cost, kv, tracer) -> None:
+        self.chunked = decode.policy == "prefill_chunk"
+        self.queue = _StreamQueue(
+            decode.queue_capacity, cost.acc.seq_len if self.chunked else None
+        )
+        self.devices = _Devices(decode.num_devices, cost, kv, self.chunked)
+        self.pool = PoolState(
+            self.queue, _Interleaver(self.chunked, decode.max_decode_batch),
+            self.devices,
+        )
+        super().__init__(arrivals, [self.pool])
+        self.cost, self.kv, self.tracer = cost, kv, tracer
+        self.records: dict[int, StreamRecord] = {}
+        self.kv_samples: list[tuple] = []
+        # stream_id -> [(label, kind, start_us, end_us, attrs)], tracer-only
+        self.intervals: dict[int, list] = {}
+        self.prefill_latencies: list[float] = []
+        self.token_gaps: list[float] = []
+
+    def route(self, stream: DecodeStream, now_us: float) -> PoolState:
+        return self.pool
+
+    def dropped(self, stream, pool, now_us, status) -> None:
+        self.records[stream.stream_id] = StreamRecord(stream, status)
+
+    def dispatched(self, pool, unit, now_us, attempts, failed,
+                   corrupted) -> None:
+        outcome = attempts[0][1]
+        end_us, device = outcome.completion_us, outcome.device_ids[0]
+        if isinstance(unit, _Active):
+            if self.tracer is not None:
+                self.intervals.setdefault(unit.stream.stream_id, []).append((
+                    outcome.spans[0].name,
+                    "prefill_chunk" if self.chunked else "prefill",
+                    now_us, end_us, {"device": device},
+                ))
+            unit.chunks_done += 1
+            unit.busy_until = end_us
+            if unit.chunks_done < unit.chunks:
+                return
+            # The prompt's last tile drained: its first token is out,
+            # and its K/V pages land in the budget as they are produced
+            # (residency, not lookups: the hit rate counts decode reads).
+            self.queue.pending.remove(unit)
+            unit.context = unit.stream.prefill_len
+            unit.first_token_us = end_us
+            self.prefill_latencies.append(end_us - unit.stream.arrival_us)
+            for layer in range(self.cost.num_layers):
+                self.kv.populate(unit.stream.stream_id, layer, unit.context)
+            if unit.tokens_left:
+                self.queue.active.append(unit)
+            else:
+                self._completed(unit, end_us)
+            return
+        batch_no = self.devices.decode_batches - 1
+        for item in unit:
+            sid = item.stream.stream_id
+            if self.tracer is not None:
+                self.intervals.setdefault(sid, []).append((
+                    f"s{sid}.decode.b{batch_no}", "decode_step",
+                    now_us, end_us,
+                    {"device": device, "batch_streams": len(unit)},
+                ))
+            item.busy_until = end_us
+            item.tokens_left -= 1
+            first_step = item.context == item.stream.prefill_len + 1
+            self.token_gaps.append(
+                end_us - (item.first_token_us if first_step else now_us)
+            )
+            if item.tokens_left == 0:
+                self.queue.active.remove(item)
+                self._completed(item, end_us)
+        if self.kv.lookups:
+            self.kv_samples.append((end_us, self.kv.hit_rate))
+
+    def _completed(self, item: _Active, end_us: float) -> None:
+        self.records[item.stream.stream_id] = StreamRecord(
+            item.stream, "completed", item.first_token_us, end_us
+        )
+        self.kv.evict_stream(item.stream.stream_id)
 
 
 def simulate_decode(
@@ -226,7 +452,8 @@ def simulate_decode(
             costs come from the decode cycle models.
         decode: Workload/policy parameters (default
             :class:`~repro.config.DecodeConfig`).
-        streams: Explicit stream list; overrides the generated one.
+        streams: Explicit stream list (unique ids, ``decode_tokens >=
+            0``); overrides the generated one.
         registry: Optional metrics registry; the run's
             ``repro_decode_*`` series are recorded for export.
         tracer: Optional :class:`~repro.obs.spans.TraceCollector`;
@@ -241,6 +468,10 @@ def simulate_decode(
     )
     if not workload:
         raise ServingError("decode simulation needs at least one stream")
+    if len({s.stream_id for s in workload}) < len(workload):
+        raise ServingError("decode stream ids must be unique")
+    if any(s.decode_tokens < 0 for s in workload):
+        raise ServingError("decode streams need decode_tokens >= 0")
     cost = _CostModel(model, acc, decode)
     kv = KVCacheModel(
         model, acc,
@@ -248,245 +479,21 @@ def simulate_decode(
         mem=decode.memory,
         page_tokens=decode.kv_page_tokens,
     )
-    chunk_rows = acc.seq_len
-    clock = acc.clock_mhz
-
-    records: dict[int, StreamRecord] = {}
-    spans: list[TraceSpan] = []
-    kv_samples: list[tuple] = []
-    # stream_id -> [(label, kind, start_us, end_us, attrs)], tracer-only
-    trace_intervals: dict[int, list] = {}
-    prefill_latencies: list[float] = []
-    token_gaps: list[float] = []
-    decode_steps = 0
-    decode_batches = 0
-    prefill_chunks = 0
-    decoded_tokens = 0
-    refetch_cycles_total = 0
-
     arrivals = sorted(workload, key=lambda s: s.arrival_us)
-    next_arrival = 0
-    device_free = [0.0] * decode.num_devices
-    pending: list[_Active] = []       # prefill queue (FIFO)
-    active: list[_Active] = []        # streams past prefill, mid-decode
-    last_kind = "decode"              # prefill_chunk round-robin state
+    run = _DecodeRun(arrivals, decode, cost, kv, tracer)
+    makespan_us = run.run()
 
-    def admit(now_us: float) -> None:
-        nonlocal next_arrival
-        while (next_arrival < len(arrivals)
-               and arrivals[next_arrival].arrival_us <= now_us):
-            stream = arrivals[next_arrival]
-            next_arrival += 1
-            record = StreamRecord(stream, "rejected")
-            records[stream.stream_id] = record
-            if len(pending) >= decode.queue_capacity:
-                continue
-            record.status = "queued"
-            chunks = -(-stream.prefill_len // chunk_rows)
-            pending.append(_Active(
-                stream=stream, record=record,
-                chunks_left=(
-                    chunks if decode.policy == "prefill_chunk" else 1
-                ),
-                tokens_left=stream.decode_tokens,
-                busy_until=stream.arrival_us,
-            ))
-
-    def sample_hit_rate(ts_us: float) -> None:
-        if kv.lookups:
-            kv_samples.append((ts_us, kv.hit_rate))
-
-    def complete(item: _Active, end_us: float) -> None:
-        item.record.status = "completed"
-        item.record.completed_us = end_us
-        kv.evict_stream(item.stream.stream_id)
-        if item in active:
-            active.remove(item)
-
-    def finish_prefill(item: _Active, end_us: float) -> None:
-        nonlocal decoded_tokens
-        item.context = item.stream.prefill_len
-        item.record.first_token_us = end_us
-        prefill_latencies.append(end_us - item.stream.arrival_us)
-        # The prefill's K/V pages land in the budget as they are
-        # produced — residency, not lookups, so the hit rate counts
-        # only decode-step reads.
-        for layer in range(cost.num_layers):
-            kv.populate(item.stream.stream_id, layer, item.context)
-        decoded_tokens += 1          # the prefill emits the first token
-        if item.tokens_left == 0:
-            complete(item, end_us)
-
-    def decode_candidates(now_us: float) -> list[_Active]:
-        return [
-            a for a in active
-            if a.tokens_left > 0 and a.busy_until <= now_us
-        ]
-
-    def prefill_candidate(now_us: float) -> Optional[_Active]:
-        for item in pending:
-            if item.busy_until <= now_us:
-                return item
-        return None
-
-    def run_decode_batch(
-        device: int, now_us: float, batch: list[_Active]
-    ) -> float:
-        nonlocal decode_steps, decode_batches, decoded_tokens
-        nonlocal refetch_cycles_total
-        step_cycles = 0
-        refetch = 0
-        for item in batch:
-            item.context += 1        # the new token's K/V row
-            step_cycles = max(step_cycles, cost.step_cycles(item.context))
-            for layer in range(cost.num_layers):
-                lookup = kv.lookup(
-                    item.stream.stream_id, layer, item.context
-                )
-                refetch += lookup.refetch_cycles
-        total_cycles = step_cycles + refetch
-        refetch_cycles_total += refetch
-        end_us = now_us + total_cycles / clock
-        if tracer is not None:
-            for item in batch:
-                trace_intervals.setdefault(
-                    item.stream.stream_id, []
-                ).append((
-                    f"s{item.stream.stream_id}.decode.b{decode_batches}",
-                    "decode_step", now_us, end_us,
-                    {"device": device, "batch_streams": len(batch)},
-                ))
-        spans.append(TraceSpan(
-            name=f"decode.batch{decode_batches}",
-            track=f"device{device}",
-            start_us=now_us, duration_us=total_cycles / clock,
-            args={"streams": len(batch), "refetch_cycles": refetch},
-        ))
-        decode_batches += 1
-        decode_steps += len(batch)
-        for item in batch:
-            item.busy_until = end_us
-            item.tokens_left -= 1
-            decoded_tokens += 1
-            first_step = item.context == item.stream.prefill_len + 1
-            gap_from = (
-                item.record.first_token_us if first_step else now_us
-            )
-            token_gaps.append(end_us - gap_from)
-            if item.tokens_left == 0:
-                complete(item, end_us)
-        sample_hit_rate(end_us)
-        return end_us
-
-    def run_prefill_chunk(
-        device: int, now_us: float, item: _Active
-    ) -> float:
-        nonlocal prefill_chunks
-        total_chunks = -(-item.stream.prefill_len // chunk_rows)
-        if decode.policy == "prefill_chunk":
-            chunk_cycles = cost.prefill_cycles(
-                item.stream.prefill_len
-            ) // total_chunks
-            label = (
-                f"prefill.s{item.stream.stream_id}."
-                f"c{total_chunks - item.chunks_left}"
-            )
-        else:
-            chunk_cycles = cost.prefill_cycles(item.stream.prefill_len)
-            label = f"prefill.s{item.stream.stream_id}"
-        end_us = now_us + chunk_cycles / clock
-        if tracer is not None:
-            trace_intervals.setdefault(
-                item.stream.stream_id, []
-            ).append((
-                label,
-                ("prefill_chunk" if decode.policy == "prefill_chunk"
-                 else "prefill"),
-                now_us, end_us, {"device": device},
-            ))
-        spans.append(TraceSpan(
-            name=label,
-            track=f"device{device}",
-            start_us=now_us, duration_us=chunk_cycles / clock,
-            args={"prefill_len": item.stream.prefill_len},
-        ))
-        prefill_chunks += 1
-        item.chunks_left -= 1
-        item.busy_until = end_us
-        if item.chunks_left == 0:
-            pending.remove(item)
-            active.append(item)
-            finish_prefill(item, end_us)
-        return end_us
-
-    def dispatch(device: int, now_us: float) -> Optional[float]:
-        """Pick and run one unit of work; returns its end time."""
-        nonlocal last_kind
-        ready = decode_candidates(now_us)
-        prefill = prefill_candidate(now_us)
-        if decode.policy == "decode_priority":
-            run_decode = bool(ready)
-        else:
-            # Round-robin: alternate kinds whenever both are pending.
-            run_decode = bool(ready) and (
-                prefill is None or last_kind != "decode"
-            )
-        if run_decode:
-            last_kind = "decode"
-            return run_decode_batch(
-                device, now_us, ready[:decode.max_decode_batch]
-            )
-        if prefill is not None:
-            last_kind = "prefill"
-            return run_prefill_chunk(device, now_us, prefill)
-        return None
-
-    # Event loop: the earliest-free device repeatedly grabs work; when
-    # nothing is runnable *now*, it advances to the next event time
-    # (arrival, a stream freeing up, or another device finishing).
-    while True:
-        device = min(
-            range(len(device_free)), key=device_free.__getitem__
-        )
-        now_us = device_free[device]
-        admit(now_us)
-        end_us = dispatch(device, now_us)
-        if end_us is not None:
-            device_free[device] = end_us
-            continue
-        horizon = []
-        if next_arrival < len(arrivals):
-            horizon.append(arrivals[next_arrival].arrival_us)
-        horizon.extend(
-            a.busy_until for a in pending + active
-            if a.busy_until > now_us
-        )
-        horizon.extend(t for t in device_free if t > now_us)
-        if not horizon:
-            break
-        device_free[device] = min(horizon)
-
-    if any(r.status == "queued" for r in records.values()):
-        raise ServingError("decode simulation ended with streams queued")
-
-    offered = len(workload)
-    completed = sum(r.status == "completed" for r in records.values())
-    rejected = sum(r.status == "rejected" for r in records.values())
-    first_arrival = arrivals[0].arrival_us
-    last_completion = max(
-        (r.completed_us for r in records.values()
-         if r.completed_us is not None),
-        default=first_arrival,
-    )
-    makespan_us = last_completion - first_arrival
-    prefill_p50, prefill_p99, _ = sample_stats(prefill_latencies, (50, 99))
+    records, token_gaps = run.records, run.token_gaps
+    prefill_p50, prefill_p99, _ = sample_stats(run.prefill_latencies, (50, 99))
+    # Each finished prefill emits a first token, each decode step one.
+    decoded_tokens = len(run.prefill_latencies) + len(token_gaps)
     metrics = DecodeMetrics(
-        offered=offered,
-        completed=completed,
-        rejected=rejected,
-        decode_steps=decode_steps,
-        decode_batches=decode_batches,
-        prefill_chunks=prefill_chunks,
+        offered=len(workload),
+        completed=sum(r.status == "completed" for r in records.values()),
+        rejected=sum(r.status == "rejected" for r in records.values()),
+        decode_steps=len(token_gaps),
+        decode_batches=run.devices.decode_batches,
+        prefill_chunks=run.devices.prefill_chunks,
         decoded_tokens=decoded_tokens,
         tokens_per_s=(
             decoded_tokens / (makespan_us / 1e6) if makespan_us else 0.0
@@ -497,7 +504,7 @@ def simulate_decode(
             sum(token_gaps) / len(token_gaps) if token_gaps else 0.0
         ),
         kv_hit_rate=kv.hit_rate,
-        kv_refetch_cycles=refetch_cycles_total,
+        kv_refetch_cycles=run.devices.refetch_cycles,
         makespan_us=makespan_us,
     )
     if registry is not None:
@@ -507,7 +514,7 @@ def simulate_decode(
             registry,
             policy=decode.policy,
             metrics=metrics,
-            prefill_latencies_us=prefill_latencies,
+            prefill_latencies_us=run.prefill_latencies,
             token_gaps_us=token_gaps,
             kv_hits=kv.hits,
             kv_misses=kv.misses,
@@ -520,7 +527,7 @@ def simulate_decode(
                 stream_id=sid,
                 status=record.status,
                 arrival_us=record.stream.arrival_us,
-                intervals=tuple(trace_intervals.get(sid, ())),
+                intervals=tuple(run.intervals.get(sid, ())),
                 attrs={
                     "prefill_len": record.stream.prefill_len,
                     "decode_tokens": record.stream.decode_tokens,
@@ -530,6 +537,6 @@ def simulate_decode(
         decode=decode,
         metrics=metrics,
         records=ordered,
-        spans=spans,
-        kv_samples=kv_samples,
+        spans=run.spans,
+        kv_samples=run.kv_samples,
     )

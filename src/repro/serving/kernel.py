@@ -1,11 +1,12 @@
-"""The one discrete-event kernel under serving and cluster simulation.
+"""The one discrete-event kernel under serving, cluster and decode runs.
 
 :class:`EventKernel` owns the only event heap.  Events are
 ``(time_us, kind, seq, payload)`` tuples, so equal-time events pop by
 kind (``COMPLETION < ARRIVAL < POOL_FREE < WAKEUP < SCALER``), then in
 push order.  A simulator subclasses the kernel and fills in its hooks
 over a list of :class:`PoolState` pools; the kernel never branches on
-which simulator it runs.
+which simulator it runs.  Arrival times must be finite and
+non-decreasing in list order.
 
 Per event: an ``ARRIVAL`` is routed to a pool, whose queue admits or
 rejects it; ``POOL_FREE`` and ``WAKEUP`` name a pool; every one of these
@@ -81,6 +82,9 @@ def attempt_span(
 class PoolState:
     """One pool as the kernel drives it: queue, batcher, workers, faults.
 
+    The three parts need only the methods the kernel calls; decode
+    fills them with stream-level stand-ins.
+
     Every batch run draws a device fail-stop with ``device_failure_rate``
     and a batch fault with ``batch_fault_rate`` from ``fault_rng``.
     ``free_wakeup_us`` is the pool's one pending ``POOL_FREE`` time (inf:
@@ -124,11 +128,17 @@ class EventKernel:
         self.spans: list[TraceSpan] = []
         self.remaining_arrivals = len(requests)
         self.first_arrival_us = requests[0].arrival_us if requests else 0.0
-        self.last_completion_us = -_INF
+        self.last_completion_us = prev = self.first_arrival_us
         self._heap: list = []
         self._seq = itertools.count()
         for request in requests:
-            self.push(request.arrival_us, ARRIVAL, request)
+            if not -_INF < prev <= request.arrival_us < _INF:
+                raise ServingError(
+                    "arrival times must be finite and non-decreasing, "
+                    f"got {request.arrival_us} after {prev}"
+                )
+            prev = request.arrival_us
+            self.push(prev, ARRIVAL, request)
 
     def push(self, time_us: float, kind: int, payload: object = None) -> None:
         heapq.heappush(self._heap, (time_us, kind, next(self._seq), payload))
@@ -169,8 +179,6 @@ class EventKernel:
                         dispatch(other, now_us)
         if any(len(pool.queue) for pool in self.pools):
             raise ServingError("simulation ended with requests still queued")
-        if self.last_completion_us == -_INF:
-            self.last_completion_us = self.first_arrival_us
         return self.last_completion_us - self.first_arrival_us
 
     def attempt_dispatch(self, pool: PoolState, now_us: float) -> None:

@@ -96,10 +96,16 @@ def trace_workload(entries: Sequence[tuple[float, int]]) -> list[Request]:
 def validate_workload(
     requests: Sequence[Request], max_seq_len: int
 ) -> None:
-    """Check every request fits the accelerator's SA rows."""
-    for request in requests:
-        if request.seq_len > max_seq_len:
+    """Check ids are dense in list order and lengths fit the SA rows.
+
+    Serving and cluster runs share this check; arrival order is the
+    event kernel's, which refuses non-finite or decreasing times.
+    """
+    for i, request in enumerate(requests):
+        if request.req_id != i:
+            raise ServingError(f"workload ids are not dense at position {i}")
+        if not 0 < request.seq_len <= max_seq_len:
             raise ServingError(
-                f"request {request.req_id} has seq_len {request.seq_len} "
-                f"> SA rows {max_seq_len}"
+                f"request {i} has seq_len {request.seq_len} outside "
+                f"(0, {max_seq_len}]"
             )

@@ -8,11 +8,12 @@ import pytest
 from repro.cluster import (
     ClusterRequest,
     cluster_workload,
+    simulate_cluster,
     tenant_workload,
-    validate_cluster_workload,
 )
-from repro.config import ClusterConfig, PoolConfig, TenantConfig
+from repro.config import ClusterConfig, PoolConfig, TenantConfig, transformer_base
 from repro.errors import ServingError
+from repro.serving import validate_workload
 
 
 def _tenant(**overrides):
@@ -114,7 +115,7 @@ class TestClusterWorkload:
         times = [r.arrival_us for r in merged]
         assert times == sorted(times)
         assert {r.tenant for r in merged} == {"a", "b", "c"}
-        validate_cluster_workload(merged, max_seq_len=64)
+        validate_workload(merged, max_seq_len=64)
 
     def test_requests_carry_their_tenant_contract(self):
         cluster = _cluster([
@@ -146,16 +147,14 @@ class TestClusterWorkload:
             tenant="t", slo_us=1000.0, weight=1.0,
         )
         with pytest.raises(ServingError):
-            validate_cluster_workload(
-                [dataclasses.replace(request, req_id=5)], 64
-            )
+            validate_workload([dataclasses.replace(request, req_id=5)], 64)
         with pytest.raises(ServingError):
-            validate_cluster_workload(
-                [request,
-                 dataclasses.replace(request, req_id=1, arrival_us=-1.0)],
-                64,
-            )
-        with pytest.raises(ServingError):
-            validate_cluster_workload(
-                [dataclasses.replace(request, seq_len=65)], 64
+            validate_workload([dataclasses.replace(request, seq_len=65)], 64)
+        # Arrival order is the event kernel's check.
+        with pytest.raises(ServingError, match="non-decreasing"):
+            simulate_cluster(
+                transformer_base(), _cluster([_tenant(name="t")]),
+                workload=[request, dataclasses.replace(
+                    request, req_id=1, arrival_us=-1.0
+                )],
             )

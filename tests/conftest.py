@@ -68,8 +68,8 @@ def calibrated_quant(small_transformer, rng):
 def counted_run():
     """``counted_run(run, *args)`` -> ``(run(*args), pops by event kind)``.
 
-    The serving and cluster event loops pop their heap once per simulated
-    event, and an event's kind is its second field.  Session-scoped so
+    The event kernel under every simulator pops its heap once per
+    simulated event, and an event's kind is its second field.  Session-scoped so
     hypothesis tests may use it.
     """
     def run_counted(run, *args):

@@ -22,6 +22,7 @@ from repro.errors import ServingError
 from repro.serving import (
     WorkerPool,
     BatchCostModel,
+    Request,
     percentile,
     simulate_serving,
     trace_workload,
@@ -204,6 +205,13 @@ class TestExplicitWorkload:
     def test_rejects_oversized_request(self, model, acc):
         workload = trace_workload([(0.0, 100)])
         with pytest.raises(ServingError):
+            simulate_serving(model, acc, _serving(), workload=workload)
+
+    def test_rejects_unsorted_arrivals(self, model, acc):
+        # Taken as given, the first listed arrival would anchor the
+        # makespan 100 us late.
+        workload = [Request(0, 100.0, 32), Request(1, 0.0, 32)]
+        with pytest.raises(ServingError, match="non-decreasing"):
             simulate_serving(model, acc, _serving(), workload=workload)
 
     def test_rejects_max_len_beyond_sa(self, model):
