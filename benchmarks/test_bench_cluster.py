@@ -8,12 +8,14 @@ budget.  Records the fleet's SLO attainment and throughput as the A6
 headlines `repro bench-diff` gates on, and asserts the subsystem's
 acceptance criterion: the smart policy beats the naive baseline on the
 same workload at equal budget.  The timed region is one full smart run.
+A sampled traced run pins the span nodes a tracer builds per request.
 """
 
 import time
 
 from repro.analysis import render_table
 from repro.cluster import pinned_cluster, simulate_cluster
+from repro.obs import SamplingPolicy, Span, TraceCollector, TraceSampler
 
 REQUESTS_PER_TENANT = 120
 SEED = 0
@@ -30,7 +32,7 @@ def _run(model, policy, autoscale):
 
 
 def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
-                                   heap_events):
+                                   heap_events, monkeypatch):
     smart = _run(base_model, "slo", autoscale=True)
     naive = _run(base_model, "round_robin", autoscale=False)
 
@@ -84,6 +86,29 @@ def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
                    len(timed.records) / elapsed)
     bench_headline("cluster.events_per_request",
                    (heap_events() - events_before) / len(timed.records))
+
+    # Span nodes a sampled tracer constructs per request, pinned exactly:
+    # traces are sampled at the root and only kept trees grow hops, so
+    # this equals the nodes kept (a regression that builds every tree
+    # and prunes it after sampling reads about 4).
+    built = 0
+    init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    traced = simulate_cluster(
+        base_model,
+        pinned_cluster(requests_per_tenant=REQUESTS_PER_TENANT,
+                       router_policy="slo", autoscale=True, seed=SEED),
+        tracer=TraceCollector(sampler=TraceSampler(SamplingPolicy())),
+    )
+    monkeypatch.setattr(Span, "__init__", init)
+    bench_headline("obs.span_nodes_per_request",
+                   built / len(traced.records))
 
     result = benchmark(
         simulate_cluster, base_model,

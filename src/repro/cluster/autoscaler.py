@@ -33,7 +33,7 @@ from .pools import PoolRuntime
 
 @dataclass(frozen=True)
 class ScaleAction:
-    """One autoscaler decision, kept for metrics and the trace.
+    """One autoscaler decision; the cluster run logs it for its views.
 
     Attributes:
         at_us: Evaluation time the action fired.
@@ -57,7 +57,6 @@ class Autoscaler:
     def __init__(self, config: AutoscalerConfig, pools: list[PoolRuntime]):
         self.config = config
         self.pools = pools
-        self.actions: list[ScaleAction] = []
         self._burn_source = None
 
     def attach_burn_source(self, source) -> None:
@@ -84,7 +83,6 @@ class Autoscaler:
             action = self._evaluate_pool(pool, now_us)
             if action is not None:
                 fired.append(action)
-        self.actions.extend(fired)
         return fired
 
     def _evaluate_pool(self, pool, now_us):

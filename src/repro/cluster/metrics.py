@@ -1,11 +1,12 @@
 """Cluster metrics: per-tenant SLO attainment, per-pool accounting.
 
-Registry-backed like :mod:`repro.serving.metrics`: the raw run is
-recorded into ``repro_cluster_*`` instruments
+Like :mod:`repro.serving.metrics`, the summaries fold from the run's
+own records; a caller-supplied registry additionally receives the raw
+run as ``repro_cluster_*`` instruments
 (:func:`repro.telemetry.instrument.record_cluster` — the single place
-the cluster schema is defined) and the summaries are derived back out,
-so the numbers the report prints are exactly the series a Prometheus /
-JSON / Chrome-trace export carries.
+the cluster schema is defined) plus the summary gauges, so the numbers
+the report prints are exactly the series a Prometheus / JSON /
+Chrome-trace export carries.
 
 The headline number is **SLO attainment**: the fraction of a tenant's
 *offered* requests that completed within the tenant's ``slo_us``.
@@ -16,15 +17,13 @@ metric by refusing work.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..telemetry.instrument import record_cluster
 from ..telemetry.registry import MetricsRegistry, sample_stats
-
-#: Request outcomes a tenant's offered traffic resolves into.
-OUTCOMES = ("completed", "shed", "rejected", "expired")
-
 
 @dataclass(frozen=True)
 class TenantSummary:
@@ -160,99 +159,78 @@ class ClusterMetrics:
         return rows
 
 
+def _tenant_summary(records: Sequence) -> TenantSummary:
+    """Outcome counts and completed-latency stats of some records."""
+    counts = Counter(r.status for r in records)
+    attained = sum(r.attained for r in records)
+    p50, p99, mean = sample_stats(
+        [r.latency_us for r in records if r.status == "completed"], (50, 99)
+    )
+    return TenantSummary(
+        offered=len(records),
+        completed=counts["completed"],
+        shed=counts["shed"],
+        rejected=counts["rejected"],
+        expired=counts["expired"],
+        slo_attained=attained,
+        slo_attainment=attained / len(records) if records else 0.0,
+        latency_p50_us=p50,
+        latency_p99_us=p99,
+        latency_mean_us=mean,
+    )
+
+
 def compute_cluster_metrics(
     *,
     policy: str,
-    tenant_offered: dict[str, int],
-    tenant_outcomes: dict[str, dict[str, int]],
-    tenant_slo_attained: dict[str, int],
-    tenant_latencies_us: dict[str, list[float]],
+    tenants: Sequence[str],
+    records: Sequence,
+    pools: Sequence,
     routing_decisions: dict[str, int],
     shed: int,
-    autoscale_actions: list[tuple[float, str, str, str]],
-    pool_completed: dict[str, int],
-    pool_batches: dict[str, list[tuple[int, int]]],
-    pool_cache: dict[str, tuple[int, int]],
-    pool_depth_samples: dict[str, list[tuple[float, int]]],
+    actions: Sequence,
+    pool_batches: dict[str, list],
     pool_device_samples: dict[str, list[tuple[float, int]]],
-    pool_busy_fraction: dict[str, float],
-    pool_final_devices: dict[str, int],
+    end_us: float,
     seq_len: int,
     makespan_us: float,
     registry: Optional[MetricsRegistry] = None,
 ) -> ClusterMetrics:
-    """Fold raw cluster records into a :class:`ClusterMetrics`.
+    """Fold one cluster run into a :class:`ClusterMetrics`.
 
-    ``pool_batches`` maps pool -> ``(num_requests, total_tokens)`` per
-    dispatched batch; ``pool_cache`` maps pool -> ``(hits, misses)``.
-    Everything is recorded into ``registry`` (a private one when the
-    caller passes none) through the schema in
-    :func:`repro.telemetry.instrument.record_cluster`, then summarized.
+    ``records`` are the run's
+    :class:`~repro.cluster.simulator.ClusterRecord` outcomes in request
+    order, ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
+    (devices provisioned up to ``end_us``), ``actions`` its autoscaler
+    ``ScaleAction`` objects.  ``pool_batches`` maps pool -> its
+    dispatched batches.  With a
+    ``registry``, the run and its summary are also recorded into it
+    (:func:`repro.telemetry.instrument.record_cluster`).
     """
-    registry = MetricsRegistry() if registry is None else registry
-    record_cluster(
-        registry,
-        policy=policy,
-        tenant_offered=tenant_offered,
-        tenant_outcomes=tenant_outcomes,
-        tenant_slo_attained=tenant_slo_attained,
-        tenant_latencies_us=tenant_latencies_us,
-        routing_decisions=routing_decisions,
-        shed=shed,
-        autoscale_actions=autoscale_actions,
-        pool_batches={
-            name: (
-                len(batches),
-                sum(r for r, _ in batches),
-                sum(t for _, t in batches),
-            )
-            for name, batches in pool_batches.items()
-        },
-        pool_cache=pool_cache,
-        pool_depth_samples=pool_depth_samples,
-        pool_device_samples=pool_device_samples,
+    by_tenant: dict[str, list] = {name: [] for name in tenants}
+    for record in records:
+        by_tenant[record.request.tenant].append(record)
+    tenant_summaries = {
+        name: _tenant_summary(rs) for name, rs in by_tenant.items()
+    }
+    total = _tenant_summary(records)
+    pool_completed = Counter(
+        r.pool for r in records if r.status == "completed"
     )
+    ups = Counter(a.pool for a in actions if a.direction == "up")
+    downs = Counter(a.pool for a in actions if a.direction != "up")
 
-    tenants: dict[str, TenantSummary] = {}
-    for name, offered in tenant_offered.items():
-        outcomes = tenant_outcomes[name]
-        attained = tenant_slo_attained[name]
-        p50, p99, mean = sample_stats(tenant_latencies_us[name], (50, 99))
-        tenants[name] = TenantSummary(
-            offered=offered,
-            completed=outcomes.get("completed", 0),
-            shed=outcomes.get("shed", 0),
-            rejected=outcomes.get("rejected", 0),
-            expired=outcomes.get("expired", 0),
-            slo_attained=attained,
-            slo_attainment=attained / offered if offered else 0.0,
-            latency_p50_us=p50,
-            latency_p99_us=p99,
-            latency_mean_us=mean,
-        )
-        registry.gauge(
-            "repro_cluster_slo_attainment",
-            "SLO-attained fraction of offered requests",
-        ).set(tenants[name].slo_attainment, tenant=name)
-
-    ups = {name: 0 for name in routing_decisions}
-    downs = {name: 0 for name in routing_decisions}
-    for _, pool_name, direction, _ in autoscale_actions:
-        if direction == "up":
-            ups[pool_name] += 1
-        else:
-            downs[pool_name] += 1
-
-    pools: dict[str, PoolSummary] = {}
-    for name, routed in routing_decisions.items():
+    pool_summaries: dict[str, PoolSummary] = {}
+    for pool in pools:
+        name, workers = pool.name, pool.workers
         batches = pool_batches[name]
         num_batches = len(batches)
-        total_requests = sum(r for r, _ in batches)
-        total_tokens = sum(t for _, t in batches)
-        hits, misses = pool_cache[name]
-        device_counts = [d for _, d in pool_device_samples[name]]
-        pools[name] = PoolSummary(
-            routed=routed,
+        total_requests = sum(b.num_requests for b in batches)
+        total_tokens = sum(b.total_tokens for b in batches)
+        hits, misses = workers.weight_cache_hits, workers.weight_cache_misses
+        provisioned_us = workers.device_time_us(end_us)
+        pool_summaries[name] = PoolSummary(
+            routed=routing_decisions[name],
             completed=pool_completed[name],
             num_batches=num_batches,
             mean_batch_size=(
@@ -262,59 +240,53 @@ def compute_cluster_metrics(
                 total_tokens / (num_batches * seq_len)
                 if num_batches else 0.0
             ),
-            final_devices=pool_final_devices[name],
-            peak_devices=max(device_counts, default=0),
+            final_devices=pool.active_device_count,
+            peak_devices=max(
+                (d for _, d in pool_device_samples[name]), default=0
+            ),
             scale_ups=ups[name],
             scale_downs=downs[name],
-            busy_fraction=pool_busy_fraction[name],
+            busy_fraction=(
+                sum(d.busy_us for d in workers.devices) / provisioned_us
+                if provisioned_us > 0 else 0.0
+            ),
             weight_cache_hit_rate=(
                 hits / (hits + misses) if (hits + misses) else 0.0
             ),
             max_queue_depth=max(
-                (d for _, d in pool_depth_samples[name]), default=0
+                (d for _, d in pool.queue.depth_samples), default=0
             ),
         )
-        registry.gauge(
-            "repro_cluster_pool_busy_fraction",
-            "Busy device-time over provisioned device-time",
-        ).set(pools[name].busy_fraction, pool=name)
 
-    offered = sum(tenant_offered.values())
-    completed = sum(t.completed for t in tenants.values())
-    attained = sum(t.slo_attained for t in tenants.values())
-    all_latencies = [
-        lat for lats in tenant_latencies_us.values() for lat in lats
-    ]
-    p50, p99, mean = sample_stats(all_latencies, (50, 99))
     seconds = makespan_us / 1e6
     metrics = ClusterMetrics(
-        offered=offered,
-        completed=completed,
+        offered=total.offered,
+        completed=total.completed,
         shed=shed,
-        rejected=sum(t.rejected for t in tenants.values()),
-        expired=sum(t.expired for t in tenants.values()),
-        slo_attained=attained,
-        slo_attainment=attained / offered if offered else 0.0,
-        throughput_rps=completed / seconds if seconds > 0 else 0.0,
+        rejected=total.rejected,
+        expired=total.expired,
+        slo_attained=total.slo_attained,
+        slo_attainment=total.slo_attainment,
+        throughput_rps=total.completed / seconds if seconds > 0 else 0.0,
         makespan_us=makespan_us,
-        latency_p50_us=p50,
-        latency_p99_us=p99,
-        latency_mean_us=mean,
+        latency_p50_us=total.latency_p50_us,
+        latency_p99_us=total.latency_p99_us,
+        latency_mean_us=total.latency_mean_us,
         router_policy=policy,
         autoscale_ups=sum(ups.values()),
         autoscale_downs=sum(downs.values()),
-        tenants=tenants,
-        pools=pools,
+        tenants=tenant_summaries,
+        pools=pool_summaries,
     )
-    registry.gauge(
-        "repro_cluster_slo_attainment",
-        "SLO-attained fraction of offered requests",
-    ).set(metrics.slo_attainment)
-    registry.gauge(
-        "repro_cluster_throughput_rps",
-        "Completed requests per second of makespan",
-    ).set(metrics.throughput_rps)
-    registry.gauge(
-        "repro_cluster_makespan_us", "Run makespan (us)",
-    ).set(makespan_us)
+    if registry is not None:
+        record_cluster(
+            registry, metrics=metrics,
+            tenant_latencies_us={
+                t: [r.latency_us for r in rs if r.status == "completed"]
+                for t, rs in by_tenant.items()
+            },
+            routing_decisions=routing_decisions, actions=actions,
+            pools=pools, pool_batches=pool_batches,
+            pool_device_samples=pool_device_samples,
+        )
     return metrics

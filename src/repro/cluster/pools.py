@@ -161,11 +161,6 @@ class PoolRuntime(PoolState):
         self.last_scale_down_us = float("-inf")
         self.busy_us_snapshot = 0.0
         self.completions: deque[tuple[float, float]] = deque()
-        # Accounting.
-        self.routed = 0
-        self.completed = 0
-        self.batches = 0
-        self.batch_log: list[tuple[int, int]] = []
 
     @property
     def active_device_count(self) -> int:
@@ -190,11 +185,7 @@ class PoolRuntime(PoolState):
     def observe_completion(
         self, completion_us: float, latency_us: float, alpha: float
     ) -> None:
-        """Fold one completed request into the EWMA and the p99 window.
-
-        ``self.completed`` is advanced by the simulator (batch-wise),
-        not here, so the counter and the EWMA cannot drift apart.
-        """
+        """Fold one completed request into the EWMA and the p99 window."""
         self.ewma_us += alpha * (latency_us - self.ewma_us)
         self.completions.append((completion_us, latency_us))
 

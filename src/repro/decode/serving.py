@@ -14,7 +14,9 @@ pool, interleaving the two phases under one of two policies:
 The run is hooks on the :class:`~repro.serving.kernel.EventKernel` over
 one pool: the queue holds each admitted stream until it finishes, the
 batcher is the policy, the workers are the devices, and ``dispatched``
-applies each unit's progress, K/V residency and records.
+applies each unit's progress and K/V residency.  Records, token gaps,
+spans and stream traces are views of the kernel log
+(:mod:`repro.serving.views`).
 
 Costs come from the closed-form decode models (property-tested against
 the event timelines): :func:`~repro.decode.cycle_model.prefill_layer_cycles`
@@ -40,9 +42,14 @@ from ..config import AcceleratorConfig, DecodeConfig, ModelConfig
 from ..core.cycle_model import ffn_cycle_breakdown
 from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
-from ..obs.spans import stream_trace
 from ..serving.devices import DispatchOutcome
 from ..serving.kernel import EventKernel, PoolState
+from ..serving.views import (
+    StreamRecord,
+    add_stream_traces,
+    chrome_spans,
+    stream_records,
+)
 from ..telemetry.registry import sample_stats
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
@@ -71,27 +78,6 @@ class DecodeStream:
     arrival_us: float
     prefill_len: int
     decode_tokens: int
-
-
-@dataclass
-class StreamRecord:
-    """Final outcome of one stream.
-
-    ``status`` is ``"completed"`` or ``"rejected"`` (pending-stream
-    queue full on arrival).  ``first_token_us`` is when the prefill's
-    last layer drained — the time-to-first-token reference point.
-    """
-
-    stream: DecodeStream
-    status: str
-    first_token_us: Optional[float] = None
-    completed_us: Optional[float] = None
-
-    @property
-    def ttft_us(self) -> Optional[float]:
-        if self.first_token_us is None:
-            return None
-        return self.first_token_us - self.stream.arrival_us
 
 
 @dataclass(frozen=True)
@@ -218,7 +204,6 @@ class _Active:
     busy_until: float         # serializes the stream across devices
     chunks_done: int = 0
     context: int = 0          # K/V positions cached so far
-    first_token_us: Optional[float] = None
 
 
 class _StreamQueue:
@@ -303,6 +288,8 @@ class _Devices:
     The lowest-index device free at dispatch (``free_us``) runs a unit.
     A decode step adds the stream's new K/V row, then reads every
     layer's pages; a batch costs its slowest step plus all refetch.
+    ``kv_samples`` holds the cumulative K/V hit rate after each decode
+    batch's lookups.
     """
 
     pool_alive = True
@@ -313,6 +300,7 @@ class _Devices:
         self.chunked = chunked
         self.free_us = [0.0] * num_devices
         self.decode_batches = self.prefill_chunks = self.refetch_cycles = 0
+        self.kv_samples: list[tuple] = []
 
     def can_accept(self, now_us: float) -> bool:
         return min(self.free_us) <= now_us
@@ -347,6 +335,8 @@ class _Devices:
             self.refetch_cycles += refetch
         duration_us = cycles / self.acc.clock_mhz
         self.free_us[device] = end_us = at_us + duration_us
+        if not isinstance(unit, _Active) and self.kv.lookups:
+            self.kv_samples.append((end_us, self.kv.hit_rate))
         span = TraceSpan(name=name, track=f"device{device}", start_us=at_us,
                          duration_us=duration_us, args=args)
         return DispatchOutcome(unit, at_us, end_us, [span], [device])
@@ -355,42 +345,21 @@ class _Devices:
 class _DecodeRun(EventKernel):
     """:func:`simulate_decode`'s hooks over its one pool."""
 
-    def __init__(self, arrivals, decode, cost, kv, tracer) -> None:
+    def __init__(self, arrivals, decode, cost, kv) -> None:
         self.chunked = decode.policy == "prefill_chunk"
         self.queue = _StreamQueue(
             decode.queue_capacity, cost.acc.seq_len if self.chunked else None
         )
         self.devices = _Devices(decode.num_devices, cost, kv, self.chunked)
-        self.pool = PoolState(
+        super().__init__(arrivals, [PoolState(
             self.queue, _Interleaver(self.chunked, decode.max_decode_batch),
             self.devices,
-        )
-        super().__init__(arrivals, [self.pool])
-        self.cost, self.kv, self.tracer = cost, kv, tracer
-        self.records: dict[int, StreamRecord] = {}
-        self.kv_samples: list[tuple] = []
-        # stream_id -> [(label, kind, start_us, end_us, attrs)], tracer-only
-        self.intervals: dict[int, list] = {}
-        self.prefill_latencies: list[float] = []
-        self.token_gaps: list[float] = []
+        )])
+        self.cost, self.kv = cost, kv
 
-    def route(self, stream: DecodeStream, now_us: float) -> PoolState:
-        return self.pool
-
-    def dropped(self, stream, pool, now_us, status) -> None:
-        self.records[stream.stream_id] = StreamRecord(stream, status)
-
-    def dispatched(self, pool, unit, now_us, attempts, failed,
-                   corrupted) -> None:
-        outcome = attempts[0][1]
-        end_us, device = outcome.completion_us, outcome.device_ids[0]
+    def dispatched(self, entry) -> None:
+        unit, end_us = entry.batch, entry.attempts[0][1].completion_us
         if isinstance(unit, _Active):
-            if self.tracer is not None:
-                self.intervals.setdefault(unit.stream.stream_id, []).append((
-                    outcome.spans[0].name,
-                    "prefill_chunk" if self.chunked else "prefill",
-                    now_us, end_us, {"device": device},
-                ))
             unit.chunks_done += 1
             unit.busy_until = end_us
             if unit.chunks_done < unit.chunks:
@@ -400,41 +369,19 @@ class _DecodeRun(EventKernel):
             # (residency, not lookups: the hit rate counts decode reads).
             self.queue.pending.remove(unit)
             unit.context = unit.stream.prefill_len
-            unit.first_token_us = end_us
-            self.prefill_latencies.append(end_us - unit.stream.arrival_us)
             for layer in range(self.cost.num_layers):
                 self.kv.populate(unit.stream.stream_id, layer, unit.context)
             if unit.tokens_left:
                 self.queue.active.append(unit)
             else:
-                self._completed(unit, end_us)
+                self.kv.evict_stream(unit.stream.stream_id)
             return
-        batch_no = self.devices.decode_batches - 1
         for item in unit:
-            sid = item.stream.stream_id
-            if self.tracer is not None:
-                self.intervals.setdefault(sid, []).append((
-                    f"s{sid}.decode.b{batch_no}", "decode_step",
-                    now_us, end_us,
-                    {"device": device, "batch_streams": len(unit)},
-                ))
             item.busy_until = end_us
             item.tokens_left -= 1
-            first_step = item.context == item.stream.prefill_len + 1
-            self.token_gaps.append(
-                end_us - (item.first_token_us if first_step else now_us)
-            )
             if item.tokens_left == 0:
                 self.queue.active.remove(item)
-                self._completed(item, end_us)
-        if self.kv.lookups:
-            self.kv_samples.append((end_us, self.kv.hit_rate))
-
-    def _completed(self, item: _Active, end_us: float) -> None:
-        self.records[item.stream.stream_id] = StreamRecord(
-            item.stream, "completed", item.first_token_us, end_us
-        )
-        self.kv.evict_stream(item.stream.stream_id)
+                self.kv.evict_stream(item.stream.stream_id)
 
 
 def simulate_decode(
@@ -480,17 +427,20 @@ def simulate_decode(
         page_tokens=decode.kv_page_tokens,
     )
     arrivals = sorted(workload, key=lambda s: s.arrival_us)
-    run = _DecodeRun(arrivals, decode, cost, kv, tracer)
+    run = _DecodeRun(arrivals, decode, cost, kv)
     makespan_us = run.run()
 
-    records, token_gaps = run.records, run.token_gaps
-    prefill_p50, prefill_p99, _ = sample_stats(run.prefill_latencies, (50, 99))
+    intervals = {} if tracer is not None else None
+    records, prefill_latencies, token_gaps = stream_records(
+        arrivals, run.log, run.chunked, intervals
+    )
+    prefill_p50, prefill_p99, _ = sample_stats(prefill_latencies, (50, 99))
     # Each finished prefill emits a first token, each decode step one.
-    decoded_tokens = len(run.prefill_latencies) + len(token_gaps)
+    decoded_tokens = len(prefill_latencies) + len(token_gaps)
     metrics = DecodeMetrics(
         offered=len(workload),
-        completed=sum(r.status == "completed" for r in records.values()),
-        rejected=sum(r.status == "rejected" for r in records.values()),
+        completed=sum(r.status == "completed" for r in records),
+        rejected=sum(r.status == "rejected" for r in records),
         decode_steps=len(token_gaps),
         decode_batches=run.devices.decode_batches,
         prefill_chunks=run.devices.prefill_chunks,
@@ -514,29 +464,17 @@ def simulate_decode(
             registry,
             policy=decode.policy,
             metrics=metrics,
-            prefill_latencies_us=run.prefill_latencies,
+            prefill_latencies_us=prefill_latencies,
             token_gaps_us=token_gaps,
             kv_hits=kv.hits,
             kv_misses=kv.misses,
         )
-    ordered = [records[s.stream_id] for s in arrivals]
     if tracer is not None:
-        for record in ordered:
-            sid = record.stream.stream_id
-            tracer.add(stream_trace(
-                stream_id=sid,
-                status=record.status,
-                arrival_us=record.stream.arrival_us,
-                intervals=tuple(run.intervals.get(sid, ())),
-                attrs={
-                    "prefill_len": record.stream.prefill_len,
-                    "decode_tokens": record.stream.decode_tokens,
-                },
-            ))
+        add_stream_traces(tracer, records, intervals)
     return DecodeResult(
         decode=decode,
         metrics=metrics,
-        records=ordered,
-        spans=run.spans,
-        kv_samples=run.kv_samples,
+        records=records,
+        spans=chrome_spans(run.log),
+        kv_samples=run.devices.kv_samples,
     )

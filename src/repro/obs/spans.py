@@ -19,26 +19,24 @@ Builders:
   intervals (prefill chunks, decode batches) with explicit ``wait``
   spans filling every gap.
 
-:class:`TraceCollector` gathers traces during a run, applies a
-tail-based :class:`~repro.obs.sampling.TraceSampler` (unsampled traces
-keep only their root span) and counts retention into a metrics
-registry (``repro_obs_traces_total`` / ``repro_obs_traces_retained_total``).
+Each is a root (:func:`request_root`, :func:`stream_root`) plus the
+hops (:func:`grow_request`, :func:`grow_stream`).  :class:`TraceCollector`
+applies a tail-based :class:`~repro.obs.sampling.TraceSampler` to each
+root and grows only the traces it keeps (unsampled traces keep only their
+root span), and counts retention into a metrics registry
+(``repro_obs_traces_total`` / ``repro_obs_traces_retained_total``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..errors import ObsError
 
 if TYPE_CHECKING:
     from ..telemetry.registry import MetricsRegistry
     from .sampling import TraceSampler
-
-#: Span kinds that terminate a request without useful work.
-TERMINAL_KINDS = ("failed", "expired", "rejected", "shed", "timeout")
-
 
 @dataclass
 class Span:
@@ -185,6 +183,46 @@ def _add_attempt(parent: Span, idx: int, att: AttemptSpan) -> None:
         )
 
 
+def request_root(*, req_id: int, status: str, arrival_us: float,
+                 end_us: float, retries: int = 0,
+                 tenant: Optional[str] = None,
+                 attrs: Optional[dict] = None) -> RequestTrace:
+    """A request's root-only trace: all a sampler reads, no hops yet."""
+    if status not in ("completed", "failed", "expired", "rejected", "shed"):
+        raise ObsError(f"unknown request status {status!r}")
+    attrs = dict(attrs or {})
+    attrs["retries"] = retries
+    root = Span(f"req{req_id}", "request", arrival_us, end_us)
+    return RequestTrace(req_id, status, root, tenant=tenant, attrs=attrs)
+
+
+def grow_request(trace: RequestTrace, dispatched_us: Optional[float] = None,
+                 attempts: tuple = ()) -> None:
+    """Add the hops of a :func:`request_root` trace.
+
+    * ``completed`` — queue wait up to ``dispatched_us``, then a
+      ``service`` span holding each :class:`AttemptSpan` (device wait /
+      compute / memsys stall, retries included).
+    * ``failed`` with attempts — same shape plus a zero-width
+      ``failed`` marker at the final attempt's end.
+    * ``failed`` (stranded) / ``expired`` — queue wait up to the root's
+      end plus a zero-width terminal marker.
+    * ``rejected`` / ``shed`` — a zero-width terminal marker (the
+      request never held any wall time).
+    """
+    root, status = trace.root, trace.status
+    start_us, end_us = root.start_us, root.end_us
+    if attempts and status in ("completed", "failed"):
+        _fill_service(root, trace.req_id, start_us, dispatched_us,
+                      attempts, end_us)
+        if status == "completed":
+            return
+    elif status not in ("rejected", "shed") and end_us > start_us:
+        root.child(f"{root.name}.queue_wait", "queue_wait", start_us,
+                   end_us)
+    root.child(f"{root.name}.{status}", status, end_us, end_us)
+
+
 def request_trace(
     *,
     req_id: int,
@@ -196,51 +234,22 @@ def request_trace(
     tenant: Optional[str] = None,
     attrs: Optional[dict] = None,
 ) -> RequestTrace:
-    """Build the span tree for one batch-serving request.
-
-    * ``completed`` — queue wait up to ``dispatched_us``, then a
-      ``service`` span holding each :class:`AttemptSpan` (device wait /
-      compute / memsys stall, retries included).
-    * ``failed`` with attempts — same shape plus a zero-width
-      ``failed`` marker at the final attempt's end.
-    * ``failed`` (stranded) / ``expired`` — queue wait up to ``end_us``
-      plus a zero-width terminal marker.
-    * ``rejected`` / ``shed`` — a zero-width root with a zero-width
-      terminal marker (the request never held any wall time).
-    """
-    attrs = dict(attrs or {})
-    attrs["retries"] = max(0, len(attempts) - 1)
-    if status == "completed":
-        if not attempts:
-            raise ObsError(f"completed request {req_id} has no attempts")
-        final_end = attempts[-1].end_us
-        root = Span(f"req{req_id}", "request", arrival_us, final_end)
-        _fill_service(root, req_id, arrival_us, dispatched_us, attempts,
-                      final_end)
-    elif status == "failed" and attempts:
-        final_end = attempts[-1].end_us
-        root = Span(f"req{req_id}", "request", arrival_us, final_end)
-        _fill_service(root, req_id, arrival_us, dispatched_us, attempts,
-                      final_end)
-        root.child(f"req{req_id}.failed", "failed", final_end, final_end)
-    elif status in ("failed", "expired"):
-        if end_us is None:
-            raise ObsError(
-                f"{status} request {req_id} needs an explicit end_us"
-            )
-        root = Span(f"req{req_id}", "request", arrival_us, end_us)
-        if end_us > arrival_us:
-            root.child(
-                f"req{req_id}.queue_wait", "queue_wait", arrival_us, end_us
-            )
-        kind = "expired" if status == "expired" else "failed"
-        root.child(f"req{req_id}.{kind}", kind, end_us, end_us)
+    """Build and validate one batch-serving request's tree: it ends with
+    its last attempt when it ran, at arrival when rejected or shed, else
+    at ``end_us``."""
+    if attempts and status in ("completed", "failed"):
+        end_us = attempts[-1].end_us
     elif status in ("rejected", "shed"):
-        root = Span(f"req{req_id}", "request", arrival_us, arrival_us)
-        root.child(f"req{req_id}.{status}", status, arrival_us, arrival_us)
-    else:
-        raise ObsError(f"unknown request status {status!r}")
-    trace = RequestTrace(req_id, status, root, tenant=tenant, attrs=attrs)
+        end_us = arrival_us
+    elif status == "completed" or end_us is None and status in (
+            "failed", "expired"):
+        raise ObsError(f"{status} request {req_id} needs attempts or an "
+                       "explicit end_us")
+    trace = request_root(
+        req_id=req_id, status=status, arrival_us=arrival_us, end_us=end_us,
+        retries=max(0, len(attempts) - 1), tenant=tenant, attrs=attrs,
+    )
+    grow_request(trace, dispatched_us, attempts)
     trace.validate()
     return trace
 
@@ -262,6 +271,40 @@ def _fill_service(root: Span, req_id: int, arrival_us: float,
         _add_attempt(service, idx, att)
 
 
+def stream_root(*, stream_id: int, status: str, arrival_us: float,
+                end_us: float, attrs: Optional[dict] = None) -> RequestTrace:
+    """A decode stream's root-only trace (see :func:`grow_stream`)."""
+    if status not in ("completed", "rejected"):
+        raise ObsError(f"unknown stream status {status!r}")
+    root = Span(f"stream{stream_id}", "stream", arrival_us, end_us)
+    return RequestTrace(stream_id, status, root, attrs=dict(attrs or {}))
+
+
+def grow_stream(trace: RequestTrace, intervals: tuple = ()) -> None:
+    """Add the hops of a :func:`stream_root` trace.
+
+    ``intervals`` is the stream's time-ordered execution segments as
+    ``(label, kind, start_us, end_us, attrs)`` tuples; gaps between
+    them (and before the first) become explicit ``wait`` spans so the
+    tree still partitions arrival → completion exactly.  A rejected
+    stream gets a zero-width ``rejected`` marker.
+    """
+    root = trace.root
+    cursor = root.start_us
+    if trace.status == "rejected":
+        root.child(f"{root.name}.rejected", "rejected", cursor, cursor)
+    for label, kind, seg_start, seg_end, seg_attrs in intervals:
+        if seg_start < cursor:
+            raise ObsError(
+                f"stream {trace.req_id}: interval {label!r} starts at "
+                f"{seg_start} before cursor {cursor}"
+            )
+        if seg_start > cursor:
+            root.child(f"{root.name}.wait", "wait", cursor, seg_start)
+        root.child(label, kind, seg_start, seg_end, **(seg_attrs or {}))
+        cursor = seg_end
+
+
 def stream_trace(
     *,
     stream_id: int,
@@ -270,53 +313,29 @@ def stream_trace(
     intervals: tuple = (),
     attrs: Optional[dict] = None,
 ) -> RequestTrace:
-    """Build the span tree for one decode stream.
-
-    ``intervals`` is the stream's time-ordered execution segments as
-    ``(label, kind, start_us, end_us, attrs)`` tuples; gaps between
-    them (and before the first) become explicit ``wait`` spans so the
-    tree still partitions arrival → completion exactly.
-    """
-    attrs = dict(attrs or {})
-    if status == "rejected":
-        root = Span(f"stream{stream_id}", "stream", arrival_us, arrival_us)
-        root.child(
-            f"stream{stream_id}.rejected", "rejected", arrival_us, arrival_us
-        )
-    elif status == "completed":
-        if not intervals:
-            raise ObsError(f"completed stream {stream_id} has no intervals")
-        end_us = intervals[-1][3]
-        root = Span(f"stream{stream_id}", "stream", arrival_us, end_us)
-        cursor = arrival_us
-        for label, kind, seg_start, seg_end, seg_attrs in intervals:
-            if seg_start < cursor:
-                raise ObsError(
-                    f"stream {stream_id}: interval {label!r} starts at "
-                    f"{seg_start} before cursor {cursor}"
-                )
-            if seg_start > cursor:
-                root.child(
-                    f"stream{stream_id}.wait", "wait", cursor, seg_start
-                )
-            root.child(label, kind, seg_start, seg_end, **(seg_attrs or {}))
-            cursor = seg_end
-    else:
-        raise ObsError(f"unknown stream status {status!r}")
-    trace = RequestTrace(stream_id, status, root, attrs=attrs)
+    """Build and validate one decode stream's tree (it ends with its
+    last interval, which a completed stream must have)."""
+    if status == "completed" and not intervals:
+        raise ObsError(f"completed stream {stream_id} has no intervals")
+    trace = stream_root(
+        stream_id=stream_id, status=status, arrival_us=arrival_us,
+        end_us=intervals[-1][3] if status == "completed" else arrival_us,
+        attrs=attrs,
+    )
+    grow_stream(trace, intervals)
     trace.validate()
     return trace
 
 
 class TraceCollector:
-    """Collects validated request traces during a simulation.
+    """Collects validated request traces of a simulation.
 
-    Strictly passive: the simulators call :meth:`add` but the collector
-    never feeds anything back, so instrumented runs stay bit-identical
-    to plain ones.  With a sampler attached, traces the tail-based
-    policy drops are reduced to their root span (the request id still
-    appears exactly once, and a root-only tree trivially satisfies the
-    partition invariant); without one every tree is kept whole.
+    Strictly passive: the simulators call :meth:`add` after their run,
+    so instrumented runs stay bit-identical to plain ones.  With a
+    sampler attached, traces the tail-based policy drops are reduced to
+    their root span (the request id still appears exactly once, and a
+    root-only tree trivially satisfies the partition invariant);
+    without one every tree is kept whole.
     """
 
     def __init__(self, sampler: Optional["TraceSampler"] = None,
@@ -325,13 +344,18 @@ class TraceCollector:
         self.registry = registry
         self._traces: dict[int, RequestTrace] = {}
 
-    def add(self, trace: RequestTrace) -> None:
+    def add(self, trace: RequestTrace,
+            grow: Optional[Callable[[RequestTrace], None]] = None) -> None:
+        """Add one trace, sampled and validated once; ``grow(trace)``
+        adds a root-only trace's hops if the sampler keeps it."""
         if trace.req_id in self._traces:
             raise ObsError(
                 f"duplicate trace for request {trace.req_id}"
             )
+        keep = self.sampler is None or self.sampler.keep(trace)
+        if keep and grow is not None:
+            grow(trace)
         trace.validate()
-        keep = self.sampler.keep(trace) if self.sampler is not None else True
         if not keep:
             trace.sampled = False
             trace.root.children.clear()

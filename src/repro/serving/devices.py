@@ -46,8 +46,6 @@ class Device:
     device_id: int
     free_at_us: float = 0.0
     busy_us: float = 0.0
-    batches_run: int = 0
-    tokens_served: int = 0
     alive: bool = True
     failed_at_us: Optional[float] = None
     activated_us: float = 0.0
@@ -274,8 +272,6 @@ class WorkerPool:
                 cache_args = {"cache_hits": hits, "cache_misses": misses}
             duration = self.acc.cycles_to_us(run_cycles)
             device.occupy(start, duration)
-            device.batches_run += 1
-            device.tokens_served += batch.total_tokens
             span = TraceSpan(
                 name=f"batch{batch.batch_id}",
                 track=f"{self.track_prefix}device{device.device_id}",
@@ -294,8 +290,6 @@ class WorkerPool:
         for device, stage_us in zip(self.devices, self._stage_us):
             start = max(ready, device.free_at_us)
             device.occupy(start, stage_us)
-            device.batches_run += 1
-            device.tokens_served += batch.total_tokens
             spans.append(TraceSpan(
                 name=f"batch{batch.batch_id}.stage{device.device_id}",
                 track=f"{self.track_prefix}device{device.device_id}",
@@ -345,11 +339,6 @@ class WorkerPool:
         self.weight_cache_misses += misses
         self.reload_stall_cycles += exposed
         return exposed, hits, misses
-
-    @property
-    def weight_cache_hit_rate(self) -> float:
-        total = self.weight_cache_hits + self.weight_cache_misses
-        return self.weight_cache_hits / total if total else 0.0
 
     def busy_fraction(self, makespan_us: float) -> float:
         """Pool-wide fraction of device-time spent running batches."""

@@ -31,6 +31,11 @@ Push sites, which bound the event count linearly:
   a dispatch, a device failure or a replica change: at most
   ``batches + device failures + scale actions + pools``;
 * ``COMPLETION`` / ``SCALER`` — whatever the hooks push.
+
+:attr:`EventKernel.log` is the run's one record, in event order: a
+:class:`Dispatch` per batch and a :class:`Drop` per request that never
+ran, plus what hooks append (sheds, :class:`Complete`, ``ScaleAction``).
+Every per-run output is built from it afterwards (:mod:`.views`).
 """
 
 from __future__ import annotations
@@ -39,14 +44,11 @@ import heapq
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from ..config import AcceleratorConfig
-from ..core.trace import TraceSpan
 from ..errors import ServingError
-from ..obs.spans import AttemptSpan
 from .admission import AdmissionQueue
 from .batching import Batch, DynamicBatcher
 from .devices import DispatchOutcome, WorkerPool
@@ -55,27 +57,6 @@ from .workload import Request
 COMPLETION, ARRIVAL, POOL_FREE, WAKEUP, SCALER = range(5)
 
 _INF = float("inf")
-
-
-def attempt_span(
-    acc: AcceleratorConfig, dispatched_us: float, outcome: DispatchOutcome
-) -> AttemptSpan:
-    """Trace view of one dispatch attempt.
-
-    Compute ends and the exposed reload stall begins at a boundary only
-    single-span (replicated) runs carry in their span args; layer-sharded
-    pipelines interleave stages and leave it ``None``.
-    """
-    boundary = None
-    args = outcome.spans[0].args if len(outcome.spans) == 1 else {}
-    if args.get("cycles") is not None and args.get("reload_cycles") is not None:
-        boundary = outcome.start_us + acc.cycles_to_us(
-            args["cycles"] - args["reload_cycles"]
-        )
-    return AttemptSpan(
-        dispatched_us, outcome.start_us, outcome.completion_us, boundary,
-        attrs={"devices": ",".join(map(str, outcome.device_ids))},
-    )
 
 
 @dataclass(eq=False)
@@ -88,7 +69,7 @@ class PoolState:
     Every batch run draws a device fail-stop with ``device_failure_rate``
     and a batch fault with ``batch_fault_rate`` from ``fault_rng``.
     ``free_wakeup_us`` is the pool's one pending ``POOL_FREE`` time (inf:
-    none); ``retried`` counts ABFT re-runs.
+    none).
     """
 
     queue: AdmissionQueue
@@ -99,33 +80,59 @@ class PoolState:
     max_retries: int = 0
     fault_rng: Optional[np.random.Generator] = None
     free_wakeup_us: float = _INF
-    retried: int = 0
+
+
+class Dispatch(NamedTuple):
+    """Log entry: a batch's dispatch at ``at_us`` and its runs.
+
+    ``attempts`` holds ``(start_us, outcome, victim)`` per run (ABFT
+    retries start where the previous run ended; ``victim`` is the
+    device that fail-stopped after it, or ``None``).
+    """
+
+    pool: PoolState
+    batch: Any
+    at_us: float
+    attempts: list
+    failed: bool
+    corrupted: bool
+
+
+class Drop(NamedTuple):
+    """Log entry: a request that never ran (``pool`` is None if shed)."""
+
+    request: Any
+    pool: Optional[PoolState]
+    at_us: float
+    status: str
+
+
+class Complete(NamedTuple):
+    """Log entry a hook appends when it handles a batch's completion."""
+
+    dispatch: Dispatch
 
 
 class EventKernel:
     """The dispatch loop; subclasses supply the hooks.
 
-    Hooks: ``route(request, now_us)`` returns the request's pool, or
-    ``None`` when it settled the request itself (admitted requests leave
-    the queue by dispatch or through ``dropped``);
-    ``dropped(request, pool, now_us, status)`` ends a request that never
-    ran: ``"rejected"`` (queue full), ``"expired"`` (timed out) or
-    ``"failed"`` (stranded on a dead pool);
-    ``dispatched(pool, batch, now_us, attempts, failed, corrupted)`` sees
-    each batch once its runs are done, ``attempts`` holding every
-    ``(start_us, outcome)``; ``completed(payload, now_us)`` and
-    ``scale(now_us)`` handle the events hooks push.
+    Hooks: ``route(request, now_us)`` returns the request's pool (by
+    default the first), or ``None`` when it settled the request itself
+    (admitted requests leave the queue by dispatch or by a drop);
+    ``dropped(entry)`` sees each :class:`Drop` and ``dispatched(entry)``
+    each :class:`Dispatch` once it is logged (both do nothing by
+    default); ``completed(payload, now_us)`` and ``scale(now_us)``
+    handle the events hooks push.
 
     :meth:`run` returns the makespan (first arrival to last successful
-    completion).  ``spans`` collects run spans and fault markers; hooks
-    append their own.
+    completion); :attr:`log` holds what happened (module docstring).
     """
 
     def __init__(
         self, requests: Sequence[Request], pools: list[PoolState]
     ) -> None:
         self.pools = pools
-        self.spans: list[TraceSpan] = []
+        self.log: list = []
         self.remaining_arrivals = len(requests)
         self.first_arrival_us = requests[0].arrival_us if requests else 0.0
         self.last_completion_us = prev = self.first_arrival_us
@@ -143,8 +150,23 @@ class EventKernel:
     def push(self, time_us: float, kind: int, payload: object = None) -> None:
         heapq.heappush(self._heap, (time_us, kind, next(self._seq), payload))
 
+    def route(self, request: Request, now_us: float) -> Optional[PoolState]:
+        return self.pools[0]
+
+    def dropped(self, entry: Drop) -> None:
+        """Hook: sees each logged :class:`Drop`."""
+
+    def dispatched(self, entry: Dispatch) -> None:
+        """Hook: sees each logged :class:`Dispatch`."""
+
+    def drop(self, request: Request, pool: Optional[PoolState],
+             now_us: float, status: str) -> None:
+        """Log a request that never ran, then run the ``dropped`` hook."""
+        self.log.append(entry := Drop(request, pool, now_us, status))
+        self.dropped(entry)
+
     def run(self) -> float:
-        heap, dispatch, dropped = self._heap, self.attempt_dispatch, self.dropped
+        heap, dispatch, drop = self._heap, self.attempt_dispatch, self.drop
         while heap:
             now_us, kind, _, payload = heapq.heappop(heap)
             if kind == ARRIVAL:
@@ -153,7 +175,7 @@ class EventKernel:
                 if pool is not None:
                     queue = pool.queue
                     if not queue.offer(payload, now_us):
-                        dropped(payload, pool, now_us, "rejected")
+                        drop(payload, pool, now_us, "rejected")
                     elif queue.timeout_us != _INF:
                         self.push(payload.arrival_us + queue.timeout_us,
                                   WAKEUP, pool)
@@ -170,7 +192,7 @@ class EventKernel:
                     pool.free_wakeup_us = _INF
             if pool is not None:
                 for request in pool.queue.expire(now_us):
-                    dropped(request, pool, now_us, "expired")
+                    drop(request, pool, now_us, "expired")
                 dispatch(pool, now_us)
             if kind == ARRIVAL and not self.remaining_arrivals:
                 # The last arrival force-flushes every pool's partial batch.
@@ -187,7 +209,7 @@ class EventKernel:
         while len(queue):
             if not workers.pool_alive:
                 for request in queue.pop_front(len(queue), now_us):
-                    self.dropped(request, pool, now_us, "failed")
+                    self.drop(request, pool, now_us, "failed")
                 return
             if not workers.can_accept(now_us):
                 free_at = workers.next_free_us()
@@ -211,46 +233,33 @@ class EventKernel:
         # Seeded by the pool's builder (ServingConfig.seed), or None for a
         # pool with zero rates, which never draws.
         rng: Optional[np.random.Generator] = pool.fault_rng
-        attempts = [(now_us, self._run(pool, batch, now_us))]
+        attempts = [self._run(pool, batch, now_us)]
         faulted = (pool.batch_fault_rate > 0.0
                    and rng.random() < pool.batch_fault_rate)
         # ABFT flags a faulted run at drain and the batch re-runs,
         # paying full cycles again.
         while (faulted and abft and len(attempts) <= pool.max_retries
                and workers.pool_alive):
-            retry, retry_at = len(attempts), attempts[-1][1].completion_us
-            pool.retried += 1
-            self.spans.append(TraceSpan(
-                name=f"batch{batch.batch_id}.retry{retry}",
-                track="faults", start_us=retry_at, duration_us=0.0,
-                args={"event": "abft_retry", "attempt": retry},
-            ))
-            attempts.append((retry_at, self._run(pool, batch, retry_at)))
+            retry_at = attempts[-1][1].completion_us
+            attempts.append(self._run(pool, batch, retry_at))
             faulted = rng.random() < pool.batch_fault_rate
         failed = faulted and abft
         if not failed:
             self.last_completion_us = max(
                 self.last_completion_us, attempts[-1][1].completion_us
             )
-        self.dispatched(pool, batch, now_us, attempts, failed,
-                        faulted and not abft)
+        self.log.append(entry := Dispatch(pool, batch, now_us, attempts,
+                                          failed, faulted and not abft))
+        self.dispatched(entry)
 
-    def _run(
-        self, pool: PoolState, batch: Batch, at_us: float
-    ) -> DispatchOutcome:
+    def _run(self, pool: PoolState, batch: Batch, at_us: float) -> tuple:
         """One device run of ``batch``, then its fail-stop draw."""
-        outcome = pool.workers.dispatch(batch, at_us)
-        self.spans.extend(outcome.spans)
+        outcome: DispatchOutcome = pool.workers.dispatch(batch, at_us)
+        victim = None
         rate = pool.device_failure_rate
         rng: Optional[np.random.Generator] = pool.fault_rng
         if rate > 0.0 and rng.random() < rate:
             victims = outcome.device_ids
             victim = victims[int(rng.integers(0, len(victims)))]
             pool.workers.fail_device(victim, outcome.completion_us)
-            self.spans.append(TraceSpan(
-                name=f"device{victim}.failure",
-                track="faults", start_us=outcome.completion_us,
-                duration_us=0.0,
-                args={"event": "device_failure", "device": victim},
-            ))
-        return outcome
+        return at_us, outcome, victim

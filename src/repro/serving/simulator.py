@@ -3,12 +3,12 @@
 :func:`simulate_serving` runs a seeded request workload through one
 admission queue, dynamic batcher and worker pool on the
 :class:`~repro.serving.kernel.EventKernel`; every batch costs the cycle
-counts of the Algorithm 1 schedules plus weight-reload accounting.  Its
-hooks: ``route`` sends every arrival to the one pool; ``dropped``
-records a rejected, expired or stranded request; ``dispatched`` writes
-records, latencies, counter samples and queue-wait spans at dispatch,
-since a batch's completion time is known then, so no completion events
-are pushed.
+counts of the Algorithm 1 schedules plus weight-reload accounting.  It
+needs none of the kernel's hooks: the default route sends every arrival
+to the one pool, and a batch's completion time is known at dispatch, so
+no completion events are pushed.  Records, latencies, counter samples,
+spans and request traces are views of the kernel log
+(:mod:`repro.serving.views`).
 
 The run is exactly reproducible from its
 :class:`~repro.config.ServingConfig` and emits a
@@ -37,44 +37,23 @@ import numpy as np
 from ..config import AcceleratorConfig, ModelConfig, ServingConfig
 from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
-from ..obs.spans import request_trace
 from .admission import AdmissionQueue
 from .batching import Batch, BatchCostModel, DynamicBatcher
 from .devices import WorkerPool
-from .kernel import EventKernel, PoolState, attempt_span
+from .kernel import Dispatch, EventKernel, PoolState
 from .metrics import ServingMetrics, compute_metrics
+from .views import (
+    RequestRecord,
+    add_request_traces,
+    batch_samples,
+    chrome_spans,
+    serving_records,
+)
 from .workload import Request, poisson_workload, validate_workload
 
 if TYPE_CHECKING:
     from ..obs.spans import TraceCollector
     from ..telemetry.registry import MetricsRegistry
-
-
-@dataclass
-class RequestRecord:
-    """Final outcome of one request.
-
-    ``status`` is ``"completed"``, ``"rejected"`` (queue full on
-    arrival), ``"expired"`` (timed out while queued) or ``"failed"``
-    (the batch kept faulting past the retry budget, or the request was
-    stranded when the worker pool died).  A completed request whose
-    batch took an *undetected* fault additionally carries
-    ``corrupted=True`` — the silent-corruption outcome ABFT exists to
-    prevent.
-    """
-
-    request: Request
-    status: str
-    batch_id: Optional[int] = None
-    dispatched_us: Optional[float] = None
-    completed_us: Optional[float] = None
-    corrupted: bool = False
-
-    @property
-    def latency_us(self) -> Optional[float]:
-        if self.completed_us is None:
-            return None
-        return self.completed_us - self.request.arrival_us
 
 
 @dataclass
@@ -112,86 +91,6 @@ class ServingResult:
         )
 
 
-class _ServingRun(EventKernel):
-    """:func:`simulate_serving`'s hooks over its one pool."""
-
-    def __init__(self, requests, pool, cost, tracer) -> None:
-        super().__init__(requests, [pool])
-        self.pool, self.cost, self.tracer = pool, cost, tracer
-        self.acc = pool.workers.acc
-        self.records: dict[int, RequestRecord] = {}
-        self.batches: list[Batch] = []
-        self.latencies: list[float] = []
-        self.util_samples: list[tuple] = []
-        self.cache_samples: list[tuple] = []
-
-    def route(self, request: Request, now_us: float) -> PoolState:
-        self.records[request.req_id] = RequestRecord(request, "queued")
-        return self.pool
-
-    def dropped(self, request, pool, now_us, status) -> None:
-        self.records[request.req_id].status = status
-        if self.tracer is not None:
-            self.tracer.add(request_trace(
-                req_id=request.req_id, status=status,
-                arrival_us=request.arrival_us,
-                end_us=(request.arrival_us + pool.queue.timeout_us
-                        if status == "expired" else
-                        now_us if status == "failed" else None),
-                attrs={"reason": "pool_dead"} if status == "failed" else None,
-            ))
-
-    def dispatched(self, pool, batch, now_us, attempts, failed,
-                   corrupted) -> None:
-        self.batches.append(batch)
-        completion_us = attempts[-1][1].completion_us
-        workers = pool.workers
-        # Counter-track samples at the batch's final completion: the
-        # batch's useful-MAC share (occupancy-discounted) and the pool's
-        # cumulative weight-cache hit rate.
-        self.util_samples.append((
-            completion_us,
-            (self.cost.ideal_cycles / self.cost.run_cycles)
-            * (batch.total_tokens / self.acc.seq_len),
-        ))
-        lookups = workers.weight_cache_hits + workers.weight_cache_misses
-        if lookups:
-            self.cache_samples.append(
-                (completion_us, workers.weight_cache_hits / lookups)
-            )
-        tracer = self.tracer
-        if tracer is not None:
-            spans = tuple(attempt_span(self.acc, at, o) for at, o in attempts)
-            attrs = ({"batch": batch.batch_id, "reason": "retries_exhausted"}
-                     if failed else
-                     {"batch": batch.batch_id, "corrupted": corrupted})
-        status = "failed" if failed else "completed"
-        for request in batch.requests:
-            record = self.records[request.req_id]
-            record.batch_id = batch.batch_id
-            record.dispatched_us = now_us
-            record.status = status
-            if tracer is not None:
-                tracer.add(request_trace(
-                    req_id=request.req_id, status=status,
-                    arrival_us=request.arrival_us, dispatched_us=now_us,
-                    attempts=spans, attrs=attrs,
-                ))
-            if failed:
-                continue
-            record.completed_us = completion_us
-            record.corrupted = corrupted
-            self.latencies.append(record.latency_us)
-            wait = now_us - request.arrival_us
-            if wait > 0:
-                self.spans.append(TraceSpan(
-                    name=f"req{request.req_id}.wait", track="queue",
-                    start_us=request.arrival_us, duration_us=wait,
-                    args={"seq_len": request.seq_len,
-                          "batch": batch.batch_id},
-                ))
-
-
 def simulate_serving(
     model: ModelConfig,
     acc: AcceleratorConfig,
@@ -210,7 +109,10 @@ def simulate_serving(
         workload: Explicit request list; overrides the generated one.
         registry: Optional metrics registry; the run's serving series
             (request outcomes, latency histogram, queue-depth samples,
-            cache lookups) are recorded into it for export.
+            cache lookups) are recorded into it for export.  The
+            summary never reads it back, so a registry shared by
+            several runs holds their union while each run's metrics
+            stay its own.
         tracer: Optional :class:`~repro.obs.spans.TraceCollector`;
             every request gets one causal span tree (queue wait,
             device wait, compute, memsys stall, retries, terminal
@@ -250,14 +152,17 @@ def simulate_serving(
         # same ServingConfig injects the same faults and failures.
         fault_rng=np.random.default_rng([serving.seed, 0x5EED]),
     )
-    run = _ServingRun(requests, pool, cost, tracer)
+    run = EventKernel(requests, [pool])
     makespan_us = run.run()
+    log = run.log
+    if tracer is not None:
+        add_request_traces(tracer, log)
 
-    records = run.records
-    failed = sum(r.status == "failed" for r in records.values())
-    corrupted = sum(
-        r.corrupted for r in records.values() if r.status == "completed"
-    )
+    records, latencies = serving_records(requests, log)
+    dispatches = [e for e in log if type(e) is Dispatch]
+    batches = [e.batch for e in dispatches]
+    failed = sum(r.status == "failed" for r in records)
+    corrupted = sum(r.corrupted for r in records if r.status == "completed")
     if serving.placement != "replicate":
         run_cycles = cost.compute_cycles
     elif workers.mem is None:
@@ -265,15 +170,15 @@ def simulate_serving(
     else:
         # Miss-driven reloads vary per run (warm caches shrink them);
         # charge the mean exposed reload for the utilization ratio.
-        dispatches = sum(d.batches_run for d in workers.devices)
+        runs = sum(len(e.attempts) for e in dispatches)
         run_cycles = cost.compute_cycles + (
-            workers.reload_stall_cycles // dispatches if dispatches else 0
+            workers.reload_stall_cycles // runs if runs else 0
         )
     queue = pool.queue
     metrics = compute_metrics(
-        latencies_us=run.latencies,
-        batch_sizes=[b.num_requests for b in run.batches],
-        batch_tokens=[b.total_tokens for b in run.batches],
+        latencies_us=latencies,
+        batch_sizes=[b.num_requests for b in batches],
+        batch_tokens=[b.total_tokens for b in batches],
         seq_len=acc.seq_len,
         offered=queue.offered,
         rejected=queue.rejected_full,
@@ -285,7 +190,7 @@ def simulate_serving(
         num_devices=workers.num_devices,
         depth_samples=queue.depth_samples,
         failed=failed,
-        retried=pool.retried,
+        retried=sum(len(e.attempts) - 1 for e in dispatches),
         corrupted=corrupted,
         device_failures=workers.device_failures,
         weight_cache_hits=workers.weight_cache_hits,
@@ -293,13 +198,16 @@ def simulate_serving(
         reload_stall_cycles=workers.reload_stall_cycles,
         registry=registry,
     )
+    util_samples, cache_samples = batch_samples(
+        dispatches, cost.ideal_cycles / cost.run_cycles, acc.seq_len
+    )
     return ServingResult(
         serving=serving,
         metrics=metrics,
-        records=[records[r.req_id] for r in requests],
-        batches=run.batches,
-        spans=run.spans,
+        records=records,
+        batches=batches,
+        spans=chrome_spans(log),
         depth_samples=list(queue.depth_samples),
-        util_samples=run.util_samples,
-        cache_samples=run.cache_samples,
+        util_samples=util_samples,
+        cache_samples=cache_samples,
     )

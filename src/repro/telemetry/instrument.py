@@ -1,11 +1,13 @@
 """Recording helpers: fold simulation results into a registry.
 
 These helpers define the repo's metric-name schema in one place, so the
-scheduler, the reliability campaign and the CLI all emit the same
-series.  They only *read* the result objects handed to them (duck
-typed), keeping :mod:`repro.telemetry` import-light — the scheduler
-imports this module lazily, only when a caller actually passes a
-registry, so instrumentation can never perturb the model.
+scheduler, the reliability campaign, the simulators and the CLI all
+emit the same series.  They only *read* the result objects handed to
+them (duck typed) and run only when a caller passes a registry, which
+no summary ever reads back: the scheduler imports this module lazily,
+and the simulators fold their summaries from their own run's records
+first.  So instrumentation can never perturb the model, and a registry
+shared by several runs holds their union.
 
 Schema (all labels are optional-by-construction; ``block`` is the
 ResBlock, ``unit`` the hardware unit):
@@ -461,25 +463,22 @@ def record_compress(registry: MetricsRegistry, *, point) -> None:
 def record_cluster(
     registry: MetricsRegistry,
     *,
-    policy: str,
-    tenant_offered: dict,
-    tenant_outcomes: dict,
-    tenant_slo_attained: dict,
+    metrics,
     tenant_latencies_us: dict,
     routing_decisions: dict,
-    shed: int,
-    autoscale_actions: list,
+    actions: list,
+    pools: list,
     pool_batches: dict,
-    pool_cache: dict,
-    pool_depth_samples: dict,
     pool_device_samples: dict,
 ) -> None:
-    """Record one cluster run's raw outcomes into ``registry``.
+    """Record one cluster run into ``registry``, summary gauges last.
 
     Defines the ``repro_cluster_*`` schema (see the module docstring)
     in one place, mirroring :func:`repro.serving.metrics.record_serving`.
-    ``pool_batches`` maps pool -> ``(batches, requests, tokens)``
-    totals; ``pool_cache`` maps pool -> ``(hits, misses)``.
+    ``metrics`` is the run's :class:`~repro.cluster.metrics.ClusterMetrics`
+    and ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
+    (both duck typed); ``actions`` its ``ScaleAction`` objects;
+    ``pool_batches`` maps pool -> its dispatched batches.
     """
     offered = registry.counter(
         "repro_cluster_requests_offered_total",
@@ -497,13 +496,14 @@ def record_cluster(
         "repro_cluster_latency_us",
         "Arrival-to-completion latency of completed requests (us)",
     )
-    for tenant, count in tenant_offered.items():
-        offered.inc(count, tenant=tenant)
-        for outcome, n in tenant_outcomes[tenant].items():
-            if n:
-                outcomes.inc(n, tenant=tenant, outcome=outcome)
-        if tenant_slo_attained[tenant]:
-            attained.inc(tenant_slo_attained[tenant], tenant=tenant)
+    for tenant, summary in metrics.tenants.items():
+        offered.inc(summary.offered, tenant=tenant)
+        for outcome in ("completed", "shed", "rejected", "expired"):
+            if getattr(summary, outcome):
+                outcomes.inc(getattr(summary, outcome), tenant=tenant,
+                             outcome=outcome)
+        if summary.slo_attained:
+            attained.inc(summary.slo_attained, tenant=tenant)
         for value in tenant_latencies_us[tenant]:
             latency.observe(value, tenant=tenant)
     decisions = registry.counter(
@@ -512,17 +512,18 @@ def record_cluster(
     )
     for pool, count in routing_decisions.items():
         if count:
-            decisions.inc(count, pool=pool, policy=policy)
+            decisions.inc(count, pool=pool, policy=metrics.router_policy)
     registry.counter(
         "repro_cluster_shed_total",
         "Requests the SLO router refused at the door",
-    ).inc(shed)
-    actions = registry.counter(
+    ).inc(metrics.shed)
+    scaled = registry.counter(
         "repro_cluster_autoscaler_actions_total",
         "Autoscaler scale-ups/downs by pool and trigger signal",
     )
-    for _, pool, direction, reason in autoscale_actions:
-        actions.inc(1, pool=pool, direction=direction, reason=reason)
+    for action in actions:
+        scaled.inc(1, pool=action.pool, direction=action.direction,
+                   reason=action.reason)
     batches = registry.counter(
         "repro_cluster_batches_total", "Batches dispatched per pool",
     )
@@ -546,17 +547,41 @@ def record_cluster(
         "repro_cluster_devices",
         "Per-pool active replica count at each change",
     )
-    for pool, (n_batches, n_requests, n_tokens) in pool_batches.items():
-        if n_batches:
-            batches.inc(n_batches, pool=pool)
-            batch_requests.inc(n_requests, pool=pool)
-            batch_tokens.inc(n_tokens, pool=pool)
-        hits, misses = pool_cache[pool]
-        if hits:
-            cache.inc(hits, pool=pool, outcome="hit")
-        if misses:
-            cache.inc(misses, pool=pool, outcome="miss")
-        for ts_us, value in pool_depth_samples[pool]:
-            depth.sample(ts_us, value, pool=pool)
-        for ts_us, value in pool_device_samples[pool]:
-            devices.sample(ts_us, value, pool=pool)
+    for pool in pools:
+        name, workers = pool.name, pool.workers
+        if pool_batches[name]:
+            dispatched = pool_batches[name]
+            batches.inc(len(dispatched), pool=name)
+            batch_requests.inc(sum(b.num_requests for b in dispatched),
+                               pool=name)
+            batch_tokens.inc(sum(b.total_tokens for b in dispatched),
+                             pool=name)
+        if workers.weight_cache_hits:
+            cache.inc(workers.weight_cache_hits, pool=name, outcome="hit")
+        if workers.weight_cache_misses:
+            cache.inc(workers.weight_cache_misses, pool=name,
+                      outcome="miss")
+        for ts_us, value in pool.queue.depth_samples:
+            depth.sample(ts_us, value, pool=name)
+        for ts_us, value in pool_device_samples[name]:
+            devices.sample(ts_us, value, pool=name)
+    attainment = registry.gauge(
+        "repro_cluster_slo_attainment",
+        "SLO-attained fraction of offered requests",
+    )
+    for tenant, summary in metrics.tenants.items():
+        attainment.set(summary.slo_attainment, tenant=tenant)
+    busy = registry.gauge(
+        "repro_cluster_pool_busy_fraction",
+        "Busy device-time over provisioned device-time",
+    )
+    for name, summary in metrics.pools.items():
+        busy.set(summary.busy_fraction, pool=name)
+    attainment.set(metrics.slo_attainment)
+    registry.gauge(
+        "repro_cluster_throughput_rps",
+        "Completed requests per second of makespan",
+    ).set(metrics.throughput_rps)
+    registry.gauge(
+        "repro_cluster_makespan_us", "Run makespan (us)",
+    ).set(metrics.makespan_us)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.cluster import pinned_cluster, simulate_cluster
+from repro.config import (
+    DecodeConfig,
+    ServingConfig,
+    paper_accelerator,
+    transformer_base,
+)
+from repro.decode import simulate_decode
 from repro.memsys import ddr4_2400
 from repro.serving import simulate_serving
 from repro.serving.metrics import compute_metrics, record_serving
@@ -84,6 +91,38 @@ class TestSimulatorRegistry:
     def test_utilization_samples_cover_every_batch(self, model, acc):
         result = simulate_serving(model, acc, _serving())
         assert len(result.util_samples) == result.metrics.num_batches
+
+
+class TestRegistryOnlyWhenPassed:
+    def test_shared_registry_keeps_each_summary_its_own(self, model, acc):
+        # Two runs into one registry: the registry holds their union,
+        # while the second run's summary still covers only itself.
+        plain = simulate_serving(model, acc, _serving())
+        reg = MetricsRegistry()
+        simulate_serving(model, acc, _serving(), registry=reg)
+        second = simulate_serving(model, acc, _serving(), registry=reg)
+        assert second.metrics == plain.metrics
+        assert reg.get(
+            "repro_serving_requests_offered_total"
+        ).value() == 2 * plain.metrics.offered == 120
+        assert reg.get("repro_serving_batches_total").value() == (
+            2 * plain.metrics.num_batches
+        )
+
+    def test_runs_without_registry_build_none(self, model, acc,
+                                              monkeypatch):
+        built = []
+        init = MetricsRegistry.__init__
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(MetricsRegistry, "__init__", counting_init)
+        simulate_serving(model, acc, _serving())
+        simulate_cluster(model, pinned_cluster(requests_per_tenant=20))
+        simulate_decode(model, acc, DecodeConfig(num_streams=6))
+        assert built == []
 
 
 class TestComputeMetricsCompat:
