@@ -233,6 +233,7 @@ class WorkerPool:
             device.fail(at_us)
             if not device.draining:
                 self._active.remove(device)
+                self._recount_contenders()
 
     def next_free_us(self) -> float:
         """Earliest time the pool can accept another batch."""

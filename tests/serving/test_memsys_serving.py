@@ -107,6 +107,28 @@ class TestChannelContention:
         pool = self._pool(model, acc, mem, 1)
         assert pool._contenders == 1
 
+    def test_failed_replica_stops_contending(self, model, acc):
+        # A fail-stopped replica leaves the shared channel: the survivor
+        # fetches as fast as a one-device pool.
+        mem = ddr4_2400().with_updates(
+            shared_channels=1, enable_weight_cache=False
+        )
+        pool = self._pool(model, acc, mem, 2)
+        pool.fail_device(0, 0.0)
+        alone = self._pool(model, acc, mem, 1)
+        assert (pool._memsys_reload_cycles(1)[0]
+                == alone._memsys_reload_cycles(0)[0])
+
+    def test_device_failures_lower_the_reload_stall(self, model, acc):
+        # Pinned: the run loses a replica early; with it still counted
+        # as a contender the stall read 31,641,261 cycles.
+        m = simulate_serving(model, acc, ServingConfig(
+            arrival_rate_rps=300.0, num_requests=200, num_devices=2,
+            device_failure_rate=0.05, memory=ddr4_2400(), seed=3,
+        )).metrics
+        assert m.device_failures >= 1
+        assert m.reload_stall_cycles == 18_486_336
+
 
 class TestMetricsSurface:
     def test_rows_include_memory_counters(self, model, acc):
