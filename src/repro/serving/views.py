@@ -336,7 +336,7 @@ def add_request_traces(tracer: TraceCollector, log: list,
         tenant = request.tenant if cluster else None
         if type(entry) is Drop:
             pool, status = entry.pool, entry.status
-            attrs = {"pool": pool.name} if cluster and pool else {}
+            attrs = {"pool": pool.name} if cluster and pool is not None else {}
             if status == "failed":
                 attrs["reason"] = "pool_dead"
             tracer.add(request_root(
@@ -379,6 +379,7 @@ def add_stream_traces(tracer: TraceCollector, records: list[StreamRecord],
                       intervals: dict) -> None:
     """Add each stream's trace, in record order: its ``intervals`` (from
     :func:`stream_records`) with waits between them."""
+    grow = partial(_grow_stream, intervals)
     for record in records:
         stream = record.stream
         tracer.add(stream_root(
@@ -388,7 +389,7 @@ def add_stream_traces(tracer: TraceCollector, records: list[StreamRecord],
                     else stream.arrival_us),
             attrs={"prefill_len": stream.prefill_len,
                    "decode_tokens": stream.decode_tokens},
-        ), partial(_grow_stream, intervals))
+        ), grow)
 
 
 def _grow_stream(intervals: dict, trace: RequestTrace) -> None:
