@@ -202,9 +202,9 @@ def compute_cluster_metrics(
     :class:`~repro.cluster.simulator.ClusterRecord` outcomes in request
     order, ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
     (devices provisioned up to ``end_us``), ``actions`` its autoscaler
-    ``ScaleAction`` objects.  ``pool_batches`` maps pool -> its
-    dispatched batches.  With a
-    ``registry``, the run and its summary are also recorded into it
+    ``ScaleAction`` objects, and ``pool_batches`` maps each pool to its
+    dispatched batches.  With a ``registry``, the run and its summary
+    are also recorded into it
     (:func:`repro.telemetry.instrument.record_cluster`).
     """
     by_tenant: dict[str, list] = {name: [] for name in tenants}

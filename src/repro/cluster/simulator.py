@@ -131,12 +131,12 @@ class _ClusterRun(EventKernel):
 
     def dispatched(self, entry) -> None:
         self.in_flight += entry.batch.num_requests
-        self.push(entry.attempts[-1][1].completion_us, COMPLETION, entry)
+        self.push(entry.runs[-1].completion_us, COMPLETION, entry)
 
     def completed(self, entry, now_us) -> PoolRuntime:
         self.log.append(Complete(entry))
         pool, batch = entry.pool, entry.batch
-        completion_us = entry.attempts[-1][1].completion_us
+        completion_us = entry.runs[-1].completion_us
         self.in_flight -= batch.num_requests
         for request in batch.requests:
             pool.observe_completion(

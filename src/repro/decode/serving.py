@@ -339,7 +339,7 @@ class _Devices:
             self.kv_samples.append((end_us, self.kv.hit_rate))
         span = TraceSpan(name=name, track=f"device{device}", start_us=at_us,
                          duration_us=duration_us, args=args)
-        return DispatchOutcome(unit, at_us, end_us, [span], [device])
+        return DispatchOutcome(unit, at_us, end_us, (span,), (device,))
 
 
 class _DecodeRun(EventKernel):
@@ -358,7 +358,7 @@ class _DecodeRun(EventKernel):
         self.cost, self.kv = cost, kv
 
     def dispatched(self, entry) -> None:
-        unit, end_us = entry.batch, entry.attempts[0][1].completion_us
+        unit, end_us = entry.batch, entry.runs[0].completion_us
         if isinstance(unit, _Active):
             unit.chunks_done += 1
             unit.busy_until = end_us

@@ -38,8 +38,11 @@ class Batch:
         batch_id: Dense id in dispatch order.
         requests: The packed requests, oldest first.
         formed_us: Time the batch was cut.
+
+    Slotted: a run's log keeps every batch alive.
     """
 
+    __slots__ = ("batch_id", "requests", "formed_us")
     batch_id: int
     requests: tuple[Request, ...]
     formed_us: float

@@ -21,7 +21,7 @@ Two placements over ``N`` simulated devices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig
@@ -76,13 +76,17 @@ class Device:
 
 @dataclass
 class DispatchOutcome:
-    """Completion time and trace spans of one dispatched batch."""
+    """Completion time and trace spans of one dispatched batch.
 
+    Slotted, with tuples: a run's log keeps every outcome alive.
+    """
+
+    __slots__ = ("batch", "start_us", "completion_us", "spans", "device_ids")
     batch: Batch
     start_us: float
     completion_us: float
-    spans: list[TraceSpan] = field(default_factory=list)
-    device_ids: list[int] = field(default_factory=list)
+    spans: tuple[TraceSpan, ...]
+    device_ids: tuple[int, ...]
 
 
 class WorkerPool:
@@ -281,8 +285,7 @@ class WorkerPool:
                       "reload_cycles": reload_cycles, **cache_args},
             )
             return DispatchOutcome(
-                batch, start, start + duration, [span],
-                device_ids=[device.device_id],
+                batch, start, start + duration, (span,), (device.device_id,)
             )
         # layer_shard: stage i runs on device i after stage i-1 drains.
         spans = []
@@ -301,8 +304,8 @@ class WorkerPool:
                 start0 = start
             ready = start + stage_us
         return DispatchOutcome(
-            batch, start0, ready, spans,
-            device_ids=[d.device_id for d in self.devices],
+            batch, start0, ready, tuple(spans),
+            tuple(d.device_id for d in self.devices),
         )
 
     def _memsys_reload_cycles(self, device_id: int) -> tuple[int, int, int]:

@@ -85,15 +85,17 @@ class PoolState:
 class Dispatch(NamedTuple):
     """Log entry: a batch's dispatch at ``at_us`` and its runs.
 
-    ``attempts`` holds ``(start_us, outcome, victim)`` per run (ABFT
-    retries start where the previous run ended; ``victim`` is the
-    device that fail-stopped after it, or ``None``).
+    ``runs`` holds each run's outcome; an ABFT retry starts where the
+    previous run ended.  ``victims`` is ``()`` unless a run lost a
+    device to a fail-stop; then it holds, per run, that device or
+    ``None``.
     """
 
     pool: PoolState
     batch: Any
     at_us: float
-    attempts: list
+    runs: tuple
+    victims: tuple
     failed: bool
     corrupted: bool
 
@@ -233,27 +235,34 @@ class EventKernel:
         # Seeded by the pool's builder (ServingConfig.seed), or None for a
         # pool with zero rates, which never draws.
         rng: Optional[np.random.Generator] = pool.fault_rng
-        attempts = [self._run(pool, batch, now_us)]
-        faulted = (pool.batch_fault_rate > 0.0
-                   and rng.random() < pool.batch_fault_rate)
-        # ABFT flags a faulted run at drain and the batch re-runs,
-        # paying full cycles again.
-        while (faulted and abft and len(attempts) <= pool.max_retries
-               and workers.pool_alive):
-            retry_at = attempts[-1][1].completion_us
-            attempts.append(self._run(pool, batch, retry_at))
-            faulted = rng.random() < pool.batch_fault_rate
+        runs, victims, at_us = [], [], now_us
+        while True:
+            outcome, victim = self._run(pool, batch, at_us)
+            runs.append(outcome)
+            victims.append(victim)
+            faulted = (pool.batch_fault_rate > 0.0
+                       and rng.random() < pool.batch_fault_rate)
+            # ABFT flags a faulted run at drain and the batch re-runs,
+            # paying full cycles again.
+            if not (faulted and abft and len(runs) <= pool.max_retries
+                    and workers.pool_alive):
+                break
+            at_us = outcome.completion_us
         failed = faulted and abft
         if not failed:
             self.last_completion_us = max(
-                self.last_completion_us, attempts[-1][1].completion_us
+                self.last_completion_us, outcome.completion_us
             )
-        self.log.append(entry := Dispatch(pool, batch, now_us, attempts,
-                                          failed, faulted and not abft))
+        if all(victim is None for victim in victims):
+            victims = ()
+        self.log.append(entry := Dispatch(pool, batch, now_us, tuple(runs),
+                                          tuple(victims), failed,
+                                          faulted and not abft))
         self.dispatched(entry)
 
     def _run(self, pool: PoolState, batch: Batch, at_us: float) -> tuple:
-        """One device run of ``batch``, then its fail-stop draw."""
+        """One device run of ``batch``, then its fail-stop draw: the
+        run's outcome and the device it lost, or ``None``."""
         outcome: DispatchOutcome = pool.workers.dispatch(batch, at_us)
         victim = None
         rate = pool.device_failure_rate
@@ -262,4 +271,4 @@ class EventKernel:
             victims = outcome.device_ids
             victim = victims[int(rng.integers(0, len(victims)))]
             pool.workers.fail_device(victim, outcome.completion_us)
-        return at_us, outcome, victim
+        return outcome, victim

@@ -271,10 +271,17 @@ def compute_metrics(
     lookups = weight_cache_hits + weight_cache_misses
     if registry is not None:
         record_serving(
-            registry, latencies_us=latencies_us, batch_sizes=batch_sizes,
-            batch_tokens=batch_tokens, offered=offered, rejected=rejected,
-            expired=expired, depth_samples=depth_samples, failed=failed,
-            retried=retried, corrupted=corrupted,
+            registry,
+            latencies_us=latencies_us,
+            batch_sizes=batch_sizes,
+            batch_tokens=batch_tokens,
+            offered=offered,
+            rejected=rejected,
+            expired=expired,
+            depth_samples=depth_samples,
+            failed=failed,
+            retried=retried,
+            corrupted=corrupted,
             device_failures=device_failures,
             weight_cache_hits=weight_cache_hits,
             weight_cache_misses=weight_cache_misses,

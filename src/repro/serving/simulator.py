@@ -170,7 +170,7 @@ def simulate_serving(
     else:
         # Miss-driven reloads vary per run (warm caches shrink them);
         # charge the mean exposed reload for the utilization ratio.
-        runs = sum(len(e.attempts) for e in dispatches)
+        runs = sum(len(e.runs) for e in dispatches)
         run_cycles = cost.compute_cycles + (
             workers.reload_stall_cycles // runs if runs else 0
         )
@@ -190,7 +190,7 @@ def simulate_serving(
         num_devices=workers.num_devices,
         depth_samples=queue.depth_samples,
         failed=failed,
-        retried=sum(len(e.attempts) - 1 for e in dispatches),
+        retried=sum(len(e.runs) - 1 for e in dispatches),
         corrupted=corrupted,
         device_failures=workers.device_failures,
         weight_cache_hits=workers.weight_cache_hits,

@@ -102,8 +102,16 @@ class StreamRecord:
 
 
 def _end_us(entry: Dispatch) -> float:
-    """When a dispatched batch's last run drained."""
-    return entry.attempts[-1][1].completion_us
+    return entry.runs[-1].completion_us
+
+
+def _runs(entry: Dispatch):
+    """``(start_us, outcome, victim)`` of each run of a dispatch."""
+    start_us = entry.at_us
+    for index, outcome in enumerate(entry.runs):
+        yield (start_us, outcome,
+               entry.victims[index] if entry.victims else None)
+        start_us = outcome.completion_us
 
 
 def _ends(log: list, cluster: bool):
@@ -151,7 +159,7 @@ def batch_samples(dispatches: list[Dispatch], useful_share: float,
     for entry in dispatches:
         util.append((_end_us(entry),
                      useful_share * (entry.batch.total_tokens / seq_len)))
-        for _, outcome, _ in entry.attempts:
+        for outcome in entry.runs:
             for span in outcome.spans:
                 run_hits = span.args.get("cache_hits", 0)
                 hits += run_hits
@@ -218,8 +226,8 @@ def stream_records(
         if type(entry) is Drop:
             dropped[entry.request.stream_id] = entry.status
             continue
-        at_us, outcome, _ = entry.attempts[0]
-        end_us, unit = outcome.completion_us, entry.batch
+        at_us, outcome, unit = entry.at_us, entry.runs[0], entry.batch
+        end_us = outcome.completion_us
         device = {"device": outcome.device_ids[0]}
         if not isinstance(unit, list):
             sid = unit.stream.stream_id
@@ -280,7 +288,7 @@ def chrome_spans(log: list, cluster: bool = False) -> list[TraceSpan]:
         if kind is not Dispatch:
             continue
         batch = entry.batch
-        for retry, (at_us, outcome, victim) in enumerate(entry.attempts):
+        for retry, (at_us, outcome, victim) in enumerate(_runs(entry)):
             if retry:
                 spans.append(TraceSpan(
                     f"batch{batch.batch_id}.retry{retry}", "faults", at_us,
@@ -363,7 +371,7 @@ def add_request_traces(tracer: TraceCollector, log: list,
             req_id=request.req_id,
             status="failed" if entry.failed else "completed",
             arrival_us=request.arrival_us, end_us=end_us,
-            retries=len(entry.attempts) - 1, tenant=tenant, attrs=attrs,
+            retries=len(entry.runs) - 1, tenant=tenant, attrs=attrs,
         ), partial(_grow_batch, entry))
 
 
@@ -371,7 +379,7 @@ def _grow_batch(entry: Dispatch, trace: RequestTrace) -> None:
     acc = entry.pool.workers.acc
     grow_request(trace, entry.at_us, [
         attempt_span(acc, at_us, outcome)
-        for at_us, outcome, _ in entry.attempts
+        for at_us, outcome, _ in _runs(entry)
     ])
 
 
