@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 
 
 class _Latency:
+    """Arrival-to-completion latency of a record (``None`` until done)."""
+
     @property
     def latency_us(self) -> Optional[float]:
         if self.completed_us is None:
