@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..serving.views import cache_totals
 from ..telemetry.instrument import record_cluster
 from ..telemetry.registry import MetricsRegistry, sample_stats
 
@@ -189,7 +190,7 @@ def compute_cluster_metrics(
     routing_decisions: dict[str, int],
     shed: int,
     actions: Sequence,
-    pool_batches: dict[str, list],
+    pool_dispatches: dict[str, list],
     pool_device_samples: dict[str, list[tuple[float, int]]],
     end_us: float,
     seq_len: int,
@@ -202,9 +203,10 @@ def compute_cluster_metrics(
     :class:`~repro.cluster.simulator.ClusterRecord` outcomes in request
     order, ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
     (devices provisioned up to ``end_us``), ``actions`` its autoscaler
-    ``ScaleAction`` objects, and ``pool_batches`` maps each pool to its
-    dispatched batches.  With a ``registry``, the run and its summary
-    are also recorded into it
+    ``ScaleAction`` objects, and ``pool_dispatches`` maps each pool to
+    its logged :class:`~repro.serving.kernel.Dispatch` entries, whose
+    runs give its weight-cache lookups.  With a ``registry``, the run
+    and its summary are also recorded into it
     (:func:`repro.telemetry.instrument.record_cluster`).
     """
     by_tenant: dict[str, list] = {name: [] for name in tenants}
@@ -223,11 +225,11 @@ def compute_cluster_metrics(
     pool_summaries: dict[str, PoolSummary] = {}
     for pool in pools:
         name, workers = pool.name, pool.workers
-        batches = pool_batches[name]
+        batches = [entry.batch for entry in pool_dispatches[name]]
         num_batches = len(batches)
         total_requests = sum(b.num_requests for b in batches)
         total_tokens = sum(b.total_tokens for b in batches)
-        hits, misses = workers.weight_cache_hits, workers.weight_cache_misses
+        hits, misses, _ = cache_totals(pool_dispatches[name])
         provisioned_us = workers.device_time_us(end_us)
         pool_summaries[name] = PoolSummary(
             routed=routing_decisions[name],
@@ -286,7 +288,7 @@ def compute_cluster_metrics(
                 for t, rs in by_tenant.items()
             },
             routing_decisions=routing_decisions, actions=actions,
-            pools=pools, pool_batches=pool_batches,
+            pools=pools, pool_dispatches=pool_dispatches,
             pool_device_samples=pool_device_samples,
         )
     return metrics

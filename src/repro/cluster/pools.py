@@ -149,7 +149,6 @@ class PoolRuntime(PoolState):
                 config.num_devices, config.placement, self.cost,
                 self.cost.acc,
                 mem=config.memory if config.kind == "fpga" else None,
-                track_prefix=f"{config.name}.",
             ),
         )
         self.run_us = self.cost.run_us()

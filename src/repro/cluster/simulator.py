@@ -223,8 +223,8 @@ def simulate_cluster(
         routing_decisions=dict(run.router.decisions),
         shed=run.router.shed,
         actions=actions,
-        pool_batches={p.name: [e.batch for e in dispatches if e.pool is p]
-                      for p in pools},
+        pool_dispatches={p.name: [e for e in dispatches if e.pool is p]
+                         for p in pools},
         pool_device_samples=samples,
         end_us=run.last_completion_us,
         seq_len=seq_len,

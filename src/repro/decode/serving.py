@@ -43,11 +43,11 @@ from ..core.cycle_model import ffn_cycle_breakdown
 from ..core.trace import TraceSpan, counter_tracks, write_span_trace
 from ..errors import ServingError
 from ..serving.devices import DispatchOutcome
-from ..serving.kernel import EventKernel, PoolState
+from ..serving.kernel import Dispatch, EventKernel, PoolState
 from ..serving.views import (
     StreamRecord,
     add_stream_traces,
-    chrome_spans,
+    hit_rate_samples,
     stream_records,
 )
 from ..telemetry.registry import sample_stats
@@ -287,20 +287,18 @@ class _Devices:
 
     The lowest-index device free at dispatch (``free_us``) runs a unit.
     A decode step adds the stream's new K/V row, then reads every
-    layer's pages; a batch costs its slowest step plus all refetch.
-    ``kv_samples`` holds the cumulative K/V hit rate after each decode
-    batch's lookups.
+    layer's pages; a batch costs its slowest step plus all refetch,
+    which its outcome logs as ``reload_cycles`` next to its page
+    ``hits`` / ``misses`` (a prefill chunk refetches nothing and looks
+    nothing up).
     """
 
     pool_alive = True
 
     def __init__(self, num_devices: int, cost: _CostModel,
-                 kv: KVCacheModel, chunked: bool) -> None:
+                 kv: KVCacheModel) -> None:
         self.acc, self.cost, self.kv = cost.acc, cost, kv
-        self.chunked = chunked
         self.free_us = [0.0] * num_devices
-        self.decode_batches = self.prefill_chunks = self.refetch_cycles = 0
-        self.kv_samples: list[tuple] = []
 
     def can_accept(self, now_us: float) -> bool:
         return min(self.free_us) <= now_us
@@ -312,34 +310,26 @@ class _Devices:
         device = next(i for i, t in enumerate(self.free_us) if t <= at_us)
         cost = self.cost
         if isinstance(unit, _Active):
-            stream = unit.stream
-            name = f"prefill.s{stream.stream_id}"
-            if self.chunked:
-                name += f".c{unit.chunks_done}"
-            cycles = cost.prefill_cycles(stream.prefill_len) // unit.chunks
-            args = {"prefill_len": stream.prefill_len}
-            self.prefill_chunks += 1
+            cycles = (cost.prefill_cycles(unit.stream.prefill_len)
+                      // unit.chunks)
+            refetch, hits, misses = 0, None, None
         else:
-            step = refetch = 0
+            step = refetch = hits = misses = 0
             for item in unit:
                 item.context += 1
                 step = max(step, cost.step_cycles(item.context))
                 for layer in range(cost.num_layers):
-                    refetch += self.kv.lookup(
+                    look = self.kv.lookup(
                         item.stream.stream_id, layer, item.context
-                    ).refetch_cycles
-            name = f"decode.batch{self.decode_batches}"
+                    )
+                    refetch += look.refetch_cycles
+                    hits += look.hits
+                    misses += look.misses
             cycles = step + refetch
-            args = {"streams": len(unit), "refetch_cycles": refetch}
-            self.decode_batches += 1
-            self.refetch_cycles += refetch
         duration_us = cycles / self.acc.clock_mhz
         self.free_us[device] = end_us = at_us + duration_us
-        if not isinstance(unit, _Active) and self.kv.lookups:
-            self.kv_samples.append((end_us, self.kv.hit_rate))
-        span = TraceSpan(name=name, track=f"device{device}", start_us=at_us,
-                         duration_us=duration_us, args=args)
-        return DispatchOutcome(unit, at_us, end_us, (span,), (device,))
+        return DispatchOutcome(at_us, end_us, ((device, at_us, duration_us),),
+                               cycles, refetch, hits, misses)
 
 
 class _DecodeRun(EventKernel):
@@ -350,10 +340,9 @@ class _DecodeRun(EventKernel):
         self.queue = _StreamQueue(
             decode.queue_capacity, cost.acc.seq_len if self.chunked else None
         )
-        self.devices = _Devices(decode.num_devices, cost, kv, self.chunked)
         super().__init__(arrivals, [PoolState(
             self.queue, _Interleaver(self.chunked, decode.max_decode_batch),
-            self.devices,
+            _Devices(decode.num_devices, cost, kv),
         )])
         self.cost, self.kv = cost, kv
 
@@ -431,9 +420,11 @@ def simulate_decode(
     makespan_us = run.run()
 
     intervals = {} if tracer is not None else None
-    records, prefill_latencies, token_gaps = stream_records(
+    records, prefill_latencies, token_gaps, spans = stream_records(
         arrivals, run.log, run.chunked, intervals
     )
+    dispatches = [e for e in run.log if type(e) is Dispatch]
+    steps = [e for e in dispatches if isinstance(e.batch, list)]
     prefill_p50, prefill_p99, _ = sample_stats(prefill_latencies, (50, 99))
     # Each finished prefill emits a first token, each decode step one.
     decoded_tokens = len(prefill_latencies) + len(token_gaps)
@@ -442,8 +433,8 @@ def simulate_decode(
         completed=sum(r.status == "completed" for r in records),
         rejected=sum(r.status == "rejected" for r in records),
         decode_steps=len(token_gaps),
-        decode_batches=run.devices.decode_batches,
-        prefill_chunks=run.devices.prefill_chunks,
+        decode_batches=len(steps),
+        prefill_chunks=len(dispatches) - len(steps),
         decoded_tokens=decoded_tokens,
         tokens_per_s=(
             decoded_tokens / (makespan_us / 1e6) if makespan_us else 0.0
@@ -454,7 +445,7 @@ def simulate_decode(
             sum(token_gaps) / len(token_gaps) if token_gaps else 0.0
         ),
         kv_hit_rate=kv.hit_rate,
-        kv_refetch_cycles=run.devices.refetch_cycles,
+        kv_refetch_cycles=sum(e.runs[0].reload_cycles for e in steps),
         makespan_us=makespan_us,
     )
     if registry is not None:
@@ -475,6 +466,6 @@ def simulate_decode(
         decode=decode,
         metrics=metrics,
         records=records,
-        spans=chrome_spans(run.log),
-        kv_samples=run.devices.kv_samples,
+        spans=spans,
+        kv_samples=hit_rate_samples(steps),
     )

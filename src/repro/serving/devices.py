@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig
-from ..core.trace import TraceSpan
 from ..errors import ServingError
 from ..memsys.bandwidth import contenders_per_channel
 from ..memsys.cache import WeightCache, default_weight_cache_bytes
@@ -76,21 +75,42 @@ class Device:
 
 @dataclass
 class DispatchOutcome:
-    """Completion time and trace spans of one dispatched batch.
+    """What one run of a batch did: the facts the kernel log keeps.
+
+    ``occupied`` holds each device's ``(device_id, start_us,
+    duration_us)``: one for a replicated run, one per stage for a
+    sharded run, each duration exactly as the device computed it.
+    ``cycles`` and its exposed ``reload_cycles`` price a single-device
+    run (``None`` for a sharded run); ``hits`` / ``misses`` count its
+    cache lookups (``None`` without a memory system).  Spans and
+    counters are views of these facts (:mod:`repro.serving.views`).
 
     Slotted, with tuples: a run's log keeps every outcome alive.
     """
 
-    __slots__ = ("batch", "start_us", "completion_us", "spans", "device_ids")
-    batch: Batch
+    __slots__ = ("start_us", "completion_us", "occupied", "cycles",
+                 "reload_cycles", "hits", "misses")
     start_us: float
     completion_us: float
-    spans: tuple[TraceSpan, ...]
-    device_ids: tuple[int, ...]
+    occupied: tuple[tuple[int, float, float], ...]
+    cycles: Optional[int]
+    reload_cycles: Optional[int]
+    hits: Optional[int]
+    misses: Optional[int]
+
+    @property
+    def device_ids(self) -> tuple[int, ...]:
+        return tuple(device_id for device_id, _, _ in self.occupied)
 
 
 class WorkerPool:
-    """Schedules batches onto the simulated devices."""
+    """Schedules batches onto the simulated devices.
+
+    :meth:`dispatch` occupies devices and returns what the run did as a
+    :class:`DispatchOutcome`; the pool keeps only device state (busy
+    time, membership, weight caches), and hit, miss and stall totals
+    are folds over the logged outcomes.
+    """
 
     def __init__(
         self,
@@ -99,7 +119,6 @@ class WorkerPool:
         cost_model: BatchCostModel,
         acc: AcceleratorConfig,
         mem: Optional[MemoryConfig] = None,
-        track_prefix: str = "",
     ) -> None:
         if num_devices <= 0:
             raise ServingError("num_devices must be positive")
@@ -114,7 +133,6 @@ class WorkerPool:
         self.placement = placement
         self.cost = cost_model
         self.acc = acc
-        self.track_prefix = track_prefix
         self.devices = [Device(i) for i in range(num_devices)]
         # Alive, non-draining devices in id order, kept current by
         # add_device / drain_device / fail_device (the only places that
@@ -129,9 +147,6 @@ class WorkerPool:
         # resident).  Replicas contend for the shared DRAM channels and
         # each keeps its own LRU weight cache across batches.
         self.mem = mem if placement == "replicate" else None
-        self.weight_cache_hits = 0
-        self.weight_cache_misses = 0
-        self.reload_stall_cycles = 0
         self._caches: Optional[list[WeightCache]] = None
         self._contenders = 1
         if self.mem is not None:
@@ -252,12 +267,6 @@ class WorkerPool:
 
     def dispatch(self, batch: Batch, now_us: float) -> DispatchOutcome:
         """Run ``batch`` starting no earlier than ``now_us``."""
-        args = {
-            "batch": batch.batch_id,
-            "requests": batch.num_requests,
-            "tokens": batch.total_tokens,
-            "occupancy": round(batch.occupancy(self.acc.seq_len), 4),
-        }
         if not self.pool_alive:
             raise ServingError("dispatch to a dead pool")
         if self.placement == "replicate":
@@ -265,47 +274,32 @@ class WorkerPool:
                 self._active, key=lambda d: (d.free_at_us, d.device_id)
             )
             start = max(now_us, device.free_at_us)
+            hits = misses = None
             if self.mem is None:
-                run_cycles = self.cost.run_cycles
+                cycles = self.cost.run_cycles
                 reload_cycles = self.cost.reload_cycles
-                cache_args = {}
             else:
                 reload_cycles, hits, misses = self._memsys_reload_cycles(
                     device.device_id
                 )
-                run_cycles = self.cost.compute_cycles + reload_cycles
-                cache_args = {"cache_hits": hits, "cache_misses": misses}
-            duration = self.acc.cycles_to_us(run_cycles)
+                cycles = self.cost.compute_cycles + reload_cycles
+            duration = self.acc.cycles_to_us(cycles)
             device.occupy(start, duration)
-            span = TraceSpan(
-                name=f"batch{batch.batch_id}",
-                track=f"{self.track_prefix}device{device.device_id}",
-                start_us=start, duration_us=duration,
-                args={**args, "cycles": run_cycles,
-                      "reload_cycles": reload_cycles, **cache_args},
-            )
             return DispatchOutcome(
-                batch, start, start + duration, (span,), (device.device_id,)
+                start, start + duration,
+                ((device.device_id, start, duration),),
+                cycles, reload_cycles, hits, misses,
             )
         # layer_shard: stage i runs on device i after stage i-1 drains.
-        spans = []
+        occupied = []
         ready = now_us
-        start0 = None
         for device, stage_us in zip(self.devices, self._stage_us):
             start = max(ready, device.free_at_us)
             device.occupy(start, stage_us)
-            spans.append(TraceSpan(
-                name=f"batch{batch.batch_id}.stage{device.device_id}",
-                track=f"{self.track_prefix}device{device.device_id}",
-                start_us=start, duration_us=stage_us,
-                args=args,
-            ))
-            if start0 is None:
-                start0 = start
+            occupied.append((device.device_id, start, stage_us))
             ready = start + stage_us
         return DispatchOutcome(
-            batch, start0, ready, tuple(spans),
-            tuple(d.device_id for d in self.devices),
+            occupied[0][1], ready, tuple(occupied), None, None, None, None
         )
 
     def _memsys_reload_cycles(self, device_id: int) -> tuple[int, int, int]:
@@ -316,8 +310,7 @@ class WorkerPool:
         fetched over the shared channel (miss).  With double-buffered
         prefetch a block's fetch overlaps the *previous* block's
         compute and only the excess is exposed; without it every fetch
-        serializes in full.  Returns ``(exposed_cycles, hits, misses)``
-        and folds them into the pool counters.
+        serializes in full.  Returns ``(exposed_cycles, hits, misses)``.
         """
         mem = self.mem
         cache = self._caches[device_id] if self._caches is not None else None
@@ -339,9 +332,6 @@ class WorkerPool:
             else:
                 exposed += fetch
             prev_compute = compute_cycles
-        self.weight_cache_hits += hits
-        self.weight_cache_misses += misses
-        self.reload_stall_cycles += exposed
         return exposed, hits, misses
 
     def busy_fraction(self, makespan_us: float) -> float:

@@ -45,9 +45,11 @@ from .metrics import ServingMetrics, compute_metrics
 from .views import (
     RequestRecord,
     add_request_traces,
-    batch_samples,
+    cache_totals,
     chrome_spans,
+    hit_rate_samples,
     serving_records,
+    util_samples,
 )
 from .workload import Request, poisson_workload, validate_workload
 
@@ -163,17 +165,12 @@ def simulate_serving(
     batches = [e.batch for e in dispatches]
     failed = sum(r.status == "failed" for r in records)
     corrupted = sum(r.corrupted for r in records if r.status == "completed")
-    if serving.placement != "replicate":
-        run_cycles = cost.compute_cycles
-    elif workers.mem is None:
-        run_cycles = cost.run_cycles
-    else:
-        # Miss-driven reloads vary per run (warm caches shrink them);
-        # charge the mean exposed reload for the utilization ratio.
-        runs = sum(len(e.runs) for e in dispatches)
-        run_cycles = cost.compute_cycles + (
-            workers.reload_stall_cycles // runs if runs else 0
-        )
+    hits, misses, stall = cache_totals(dispatches)
+    # The summary charges the mean run's cycles: compute plus the flat
+    # or mean miss-driven reload (compute alone for a sharded pipeline).
+    cycles = [o.cycles for e in dispatches for o in e.runs
+              if o.cycles is not None]
+    run_cycles = sum(cycles) // len(cycles) if cycles else cost.compute_cycles
     queue = pool.queue
     metrics = compute_metrics(
         latencies_us=latencies,
@@ -193,13 +190,10 @@ def simulate_serving(
         retried=sum(len(e.runs) - 1 for e in dispatches),
         corrupted=corrupted,
         device_failures=workers.device_failures,
-        weight_cache_hits=workers.weight_cache_hits,
-        weight_cache_misses=workers.weight_cache_misses,
-        reload_stall_cycles=workers.reload_stall_cycles,
+        weight_cache_hits=hits,
+        weight_cache_misses=misses,
+        reload_stall_cycles=stall,
         registry=registry,
-    )
-    util_samples, cache_samples = batch_samples(
-        dispatches, cost.ideal_cycles / cost.run_cycles, acc.seq_len
     )
     return ServingResult(
         serving=serving,
@@ -208,6 +202,8 @@ def simulate_serving(
         batches=batches,
         spans=chrome_spans(log),
         depth_samples=list(queue.depth_samples),
-        util_samples=util_samples,
-        cache_samples=cache_samples,
+        util_samples=util_samples(
+            dispatches, cost.ideal_cycles / cost.run_cycles, acc.seq_len
+        ),
+        cache_samples=hit_rate_samples(dispatches),
     )

@@ -1,8 +1,11 @@
-"""Views of the kernel log: records, Chrome spans, request traces.
+"""Views of the kernel log: records, counters, Chrome spans, request traces.
 
 Every simulator on the :class:`~repro.serving.kernel.EventKernel` builds
 its per-run outputs here after ``run()``, walking the run's ``log`` in
-event order; request traces are sampled at the root before they grow.
+event order.  Devices log only what each run did (a
+:class:`~repro.serving.devices.DispatchOutcome`), so device spans are
+drawn and cache and stall counters folded here; request traces are
+sampled at the root before they grow.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from ..obs.spans import (
     request_root,
     stream_root,
 )
-from .batching import Batch
 from .devices import DispatchOutcome
 from .kernel import Complete, Dispatch, Drop
 from .workload import Request
@@ -150,25 +152,41 @@ def serving_records(
     return [records[r.req_id] for r in requests], latencies
 
 
-def batch_samples(dispatches: list[Dispatch], useful_share: float,
-                  seq_len: int) -> tuple[list[tuple], list[tuple]]:
+def util_samples(dispatches: list[Dispatch], useful_share: float,
+                 seq_len: int) -> list[tuple]:
     """Per batch, at its last run's end: its useful-MAC share times row
-    occupancy, and the cumulative weight-cache hit rate (from the runs'
-    span args) once weights were looked up."""
-    util: list[tuple] = []
-    cache: list[tuple] = []
+    occupancy."""
+    return [(_end_us(entry),
+             useful_share * (entry.batch.total_tokens / seq_len))
+            for entry in dispatches]
+
+
+def cache_totals(dispatches: list[Dispatch]) -> tuple[int, int, int]:
+    """Weight-cache hits, misses and exposed reload cycles summed over
+    the runs that looked weights up (flat-reload runs look up none)."""
+    hits = misses = stall = 0
+    for entry in dispatches:
+        for outcome in entry.runs:
+            if outcome.hits is not None:
+                hits += outcome.hits
+                misses += outcome.misses
+                stall += outcome.reload_cycles
+    return hits, misses, stall
+
+
+def hit_rate_samples(dispatches: list[Dispatch]) -> list[tuple]:
+    """Per dispatch, at its last run's end: the cumulative cache hit
+    rate of its runs and all before, once anything was looked up."""
+    samples: list[tuple] = []
     hits = lookups = 0
     for entry in dispatches:
-        util.append((_end_us(entry),
-                     useful_share * (entry.batch.total_tokens / seq_len)))
         for outcome in entry.runs:
-            for span in outcome.spans:
-                run_hits = span.args.get("cache_hits", 0)
-                hits += run_hits
-                lookups += run_hits + span.args.get("cache_misses", 0)
+            if outcome.hits is not None:
+                hits += outcome.hits
+                lookups += outcome.hits + outcome.misses
         if lookups:
-            cache.append((_end_us(entry), hits / lookups))
-    return util, cache
+            samples.append((_end_us(entry), hits / lookups))
+    return samples
 
 
 def cluster_records(
@@ -207,10 +225,11 @@ def device_samples(log: list, pools: list) -> dict[str, list[tuple]]:
 def stream_records(
     arrivals: Sequence[DecodeStream], log: list, chunked: bool,
     intervals: Optional[dict] = None,
-) -> tuple[list[StreamRecord], list[float], list[float]]:
-    """Records in arrival order, then prefill latencies and token gaps
-    in log order; ``intervals``, when given, gets each stream's
-    ``(label, kind, start_us, end_us, attrs)`` execution segments.
+) -> tuple[list[StreamRecord], list[float], list[float], list[TraceSpan]]:
+    """Records in arrival order, then prefill latencies, token gaps and
+    device spans (``prefill.sN[.cK]``, ``decode.batchN``) in log order;
+    ``intervals``, when given, gets each stream's ``(label, kind,
+    start_us, end_us, attrs)`` execution segments.
 
     A unit is a prefill chunk of one stream (``chunked``: one of its
     64-row tiles), or a list of streams taking a decode step each.  A
@@ -220,6 +239,7 @@ def stream_records(
     dropped: dict[int, str] = {}
     prefill: list[float] = []
     gaps: list[float] = []
+    spans: list[TraceSpan] = []
     chunks: Counter = Counter()
     first_token: dict[int, float] = {}
     last_end: dict[int, float] = {}
@@ -230,21 +250,31 @@ def stream_records(
             continue
         at_us, outcome, unit = entry.at_us, entry.runs[0], entry.batch
         end_us = outcome.completion_us
-        device = {"device": outcome.device_ids[0]}
+        (device_id, _, duration_us), = outcome.occupied
+        track = f"device{device_id}"
+        device = {"device": device_id}
         if not isinstance(unit, list):
-            sid = unit.stream.stream_id
+            stream = unit.stream
+            sid = stream.stream_id
+            name = f"prefill.s{sid}" + (f".c{chunks[sid]}" if chunked else "")
+            spans.append(TraceSpan(name, track, at_us, duration_us,
+                                   args={"prefill_len": stream.prefill_len}))
             chunks[sid] += 1
             if chunks[sid] == unit.chunks:
                 first_token[sid] = end_us
-                prefill.append(end_us - unit.stream.arrival_us)
+                prefill.append(end_us - stream.arrival_us)
             last_end[sid] = end_us
             if intervals is not None:
                 intervals.setdefault(sid, []).append((
-                    outcome.spans[0].name,
-                    "prefill_chunk" if chunked else "prefill",
+                    name, "prefill_chunk" if chunked else "prefill",
                     at_us, end_us, device,
                 ))
             continue
+        spans.append(TraceSpan(
+            f"decode.batch{batch_no}", track, at_us, duration_us,
+            args={"streams": len(unit),
+                  "refetch_cycles": outcome.reload_cycles},
+        ))
         for item in unit:
             sid = item.stream.stream_id
             first_step = last_end[sid] == first_token[sid]
@@ -262,7 +292,38 @@ def stream_records(
                           last_end[s.stream_id])
         for s in arrivals
     ]
-    return records, prefill, gaps
+    return records, prefill, gaps, spans
+
+
+def _device_spans(entry: Dispatch, outcome: DispatchOutcome,
+                  prefix: str) -> list[TraceSpan]:
+    """The device spans of one run: ``batchN`` on its device, or
+    ``batchN.stageD`` per stage of a sharded run."""
+    batch = entry.batch
+    name = f"batch{batch.batch_id}"
+    args = {
+        "batch": batch.batch_id,
+        "requests": batch.num_requests,
+        "tokens": batch.total_tokens,
+        "occupancy": round(
+            batch.occupancy(entry.pool.workers.acc.seq_len), 4
+        ),
+    }
+    if outcome.cycles is None:
+        return [
+            TraceSpan(f"{name}.stage{device_id}",
+                      f"{prefix}device{device_id}", start_us, duration_us,
+                      args=args)
+            for device_id, start_us, duration_us in outcome.occupied
+        ]
+    args["cycles"] = outcome.cycles
+    args["reload_cycles"] = outcome.reload_cycles
+    if outcome.hits is not None:
+        args["cache_hits"] = outcome.hits
+        args["cache_misses"] = outcome.misses
+    (device_id, start_us, duration_us), = outcome.occupied
+    return [TraceSpan(name, f"{prefix}device{device_id}", start_us,
+                      duration_us, args=args)]
 
 
 def chrome_spans(log: list, cluster: bool = False) -> list[TraceSpan]:
@@ -290,20 +351,21 @@ def chrome_spans(log: list, cluster: bool = False) -> list[TraceSpan]:
         if kind is not Dispatch:
             continue
         batch = entry.batch
+        prefix = f"{entry.pool.name}." if cluster else ""
         for retry, (at_us, outcome, victim) in enumerate(_runs(entry)):
             if retry:
                 spans.append(TraceSpan(
                     f"batch{batch.batch_id}.retry{retry}", "faults", at_us,
                     0.0, args={"event": "abft_retry", "attempt": retry},
                 ))
-            spans.extend(outcome.spans)
+            spans.extend(_device_spans(entry, outcome, prefix))
             if victim is not None:
                 spans.append(TraceSpan(
                     f"device{victim}.failure", "faults",
                     outcome.completion_us, 0.0,
                     args={"event": "device_failure", "device": victim},
                 ))
-        if entry.failed or not isinstance(batch, Batch):
+        if entry.failed:
             continue
         for request in batch.requests:
             wait = entry.at_us - request.arrival_us
@@ -324,14 +386,13 @@ def chrome_spans(log: list, cluster: bool = False) -> list[TraceSpan]:
 def attempt_span(
     acc: AcceleratorConfig, dispatched_us: float, outcome: DispatchOutcome
 ) -> AttemptSpan:
-    """Trace view of one run.  Only a single-span (replicated) run's
-    args split compute from the exposed reload stall; layer-sharded
+    """Trace view of one run.  Only a single-device (replicated) run's
+    cycles split compute from the exposed reload stall; layer-sharded
     pipelines interleave stages and leave the boundary ``None``."""
-    args = outcome.spans[0].args if len(outcome.spans) == 1 else {}
     boundary = None
-    if args.get("cycles") is not None and args.get("reload_cycles") is not None:
+    if outcome.cycles is not None:
         boundary = outcome.start_us + acc.cycles_to_us(
-            args["cycles"] - args["reload_cycles"]
+            outcome.cycles - outcome.reload_cycles
         )
     return AttemptSpan(
         dispatched_us, outcome.start_us, outcome.completion_us, boundary,

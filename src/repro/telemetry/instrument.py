@@ -468,7 +468,7 @@ def record_cluster(
     routing_decisions: dict,
     actions: list,
     pools: list,
-    pool_batches: dict,
+    pool_dispatches: dict,
     pool_device_samples: dict,
 ) -> None:
     """Record one cluster run into ``registry``, summary gauges last.
@@ -478,8 +478,10 @@ def record_cluster(
     ``metrics`` is the run's :class:`~repro.cluster.metrics.ClusterMetrics`
     and ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
     (both duck typed); ``actions`` its ``ScaleAction`` objects;
-    ``pool_batches`` maps pool -> its dispatched batches.
+    ``pool_dispatches`` maps pool -> its logged dispatches.
     """
+    from ..serving.views import cache_totals
+
     offered = registry.counter(
         "repro_cluster_requests_offered_total",
         "Requests each tenant's workload generated",
@@ -548,19 +550,19 @@ def record_cluster(
         "Per-pool active replica count at each change",
     )
     for pool in pools:
-        name, workers = pool.name, pool.workers
-        if pool_batches[name]:
-            dispatched = pool_batches[name]
+        name = pool.name
+        if pool_dispatches[name]:
+            dispatched = [entry.batch for entry in pool_dispatches[name]]
             batches.inc(len(dispatched), pool=name)
             batch_requests.inc(sum(b.num_requests for b in dispatched),
                                pool=name)
             batch_tokens.inc(sum(b.total_tokens for b in dispatched),
                              pool=name)
-        if workers.weight_cache_hits:
-            cache.inc(workers.weight_cache_hits, pool=name, outcome="hit")
-        if workers.weight_cache_misses:
-            cache.inc(workers.weight_cache_misses, pool=name,
-                      outcome="miss")
+        hits, misses, _ = cache_totals(pool_dispatches[name])
+        if hits:
+            cache.inc(hits, pool=name, outcome="hit")
+        if misses:
+            cache.inc(misses, pool=name, outcome="miss")
         for ts_us, value in pool.queue.depth_samples:
             depth.sample(ts_us, value, pool=name)
         for ts_us, value in pool_device_samples[name]:
