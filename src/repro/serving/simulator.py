@@ -203,7 +203,7 @@ def simulate_serving(
         spans=chrome_spans(log),
         depth_samples=list(queue.depth_samples),
         util_samples=util_samples(
-            dispatches, cost.ideal_cycles / cost.run_cycles, acc.seq_len
+            dispatches, cost.ideal_cycles, cost.compute_cycles, acc.seq_len
         ),
         cache_samples=hit_rate_samples(dispatches),
     )

@@ -152,13 +152,19 @@ def serving_records(
     return [records[r.req_id] for r in requests], latencies
 
 
-def util_samples(dispatches: list[Dispatch], useful_share: float,
-                 seq_len: int) -> list[tuple]:
+def util_samples(dispatches: list[Dispatch], ideal_cycles: int,
+                 compute_cycles: int, seq_len: int) -> list[tuple]:
     """Per batch, at its last run's end: its useful-MAC share times row
-    occupancy."""
-    return [(_end_us(entry),
-             useful_share * (entry.batch.total_tokens / seq_len))
-            for entry in dispatches]
+    occupancy.  The share is ``ideal_cycles`` over that run's cycles,
+    or over ``compute_cycles`` for a sharded run, which reloads
+    nothing."""
+    samples: list[tuple] = []
+    for entry in dispatches:
+        cycles = entry.runs[-1].cycles
+        share = ideal_cycles / (compute_cycles if cycles is None else cycles)
+        samples.append((_end_us(entry),
+                        share * (entry.batch.total_tokens / seq_len)))
+    return samples
 
 
 def cache_totals(dispatches: list[Dispatch]) -> tuple[int, int, int]:

@@ -19,6 +19,7 @@ from repro.config import (
     transformer_base,
 )
 from repro.errors import ServingError
+from repro.memsys import memory_preset
 from repro.serving import (
     WorkerPool,
     BatchCostModel,
@@ -100,6 +101,46 @@ class TestMetricsSurface:
                 if r.status == "completed"]
         assert result.metrics.latency_p50_us == percentile(lats, 50)
         assert result.metrics.latency_p99_us == percentile(lats, 99)
+
+
+class TestUtilizationTrack:
+    """The ``sa_utilization`` counter prices each batch like the summary:
+    ideal cycles over compute for a sharded pipeline (no reloads) and
+    over that run's own cycles with a memory system."""
+
+    def _shares(self, model, acc, **overrides):
+        cfg = ServingConfig(arrival_rate_rps=300, num_requests=200,
+                            num_devices=2, seed=3, **overrides)
+        result = simulate_serving(model, acc, cfg)
+        return result, [
+            sample / (batch.total_tokens / acc.seq_len)
+            for (_, sample), batch in zip(result.util_samples,
+                                          result.batches)
+        ]
+
+    def test_flat_replicate_charges_flat_reload(self, model, acc):
+        _, shares = self._shares(model, acc)
+        assert {round(s, 4) for s in shares} == {0.4573}
+
+    def test_layer_shard_charges_compute_only(self, model, acc):
+        _, shares = self._shares(model, acc, placement="layer_shard")
+        cost = BatchCostModel(model, acc)
+        assert {round(s, 4) for s in shares} == {0.8244}
+        assert shares == pytest.approx(
+            [cost.ideal_cycles / cost.compute_cycles] * len(shares)
+        )
+
+    def test_memory_system_charges_each_run(self, model, acc):
+        result, shares = self._shares(
+            model, acc, memory=memory_preset("ddr4-2400")
+        )
+        cost = BatchCostModel(model, acc)
+        run_cycles = [s.args["cycles"] for s in result.spans
+                      if s.track.startswith("device")]
+        assert shares == pytest.approx(
+            [cost.ideal_cycles / c for c in run_cycles]
+        )
+        assert {round(s, 4) for s in shares} == {0.5371}
 
 
 class TestBatchingBeatsBatch1:
