@@ -1007,9 +1007,6 @@ class ServingConfig:
         placement: ``"replicate"`` (every device holds the full model,
             paying per-block weight reloads) or ``"layer_shard"`` (layers
             pipelined across devices with resident weights).
-        double_buffered_weights: Hide reloads behind the previous
-            block's compute (second weight-memory bank), as in
-            :class:`~repro.core.model_runner.AcceleratedStack`.
         batch_fault_rate: Per-batch probability that a soft error
             strikes the datapath during the run.  With ABFT on the
             accelerator (``AcceleratorConfig.abft_protected``) the
@@ -1051,7 +1048,6 @@ class ServingConfig:
     max_wait_us: float = 500.0
     num_devices: int = 1
     placement: str = "replicate"
-    double_buffered_weights: bool = False
     batch_fault_rate: float = 0.0
     device_failure_rate: float = 0.0
     max_retries: int = 1

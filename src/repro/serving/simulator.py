@@ -133,10 +133,7 @@ def simulate_serving(
     )
     validate_workload(requests, acc.seq_len)
 
-    cost = BatchCostModel(
-        model, acc, double_buffered_weights=serving.double_buffered_weights,
-        compression=serving.compression,
-    )
+    cost = BatchCostModel(model, acc, compression=serving.compression)
     workers = WorkerPool(
         serving.num_devices, serving.placement, cost, acc,
         mem=serving.memory,
