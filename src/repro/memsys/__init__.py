@@ -3,9 +3,9 @@
 The paper's accelerator keeps every weight tile on-chip; this package
 models what it costs to get them there over a DDR/AXI link:
 
-* :class:`DramChannel` + :class:`~repro.config.MemoryConfig` presets —
-  the link itself (GB/s, burst efficiency, per-transfer latency,
-  channel sharing);
+* :class:`~repro.config.MemoryConfig` presets and
+  :func:`contenders_per_channel` — the link itself (GB/s, burst
+  efficiency, per-transfer latency, channel sharing);
 * :class:`TilePrefetcher` — double-buffered 64-column weight-tile
   prefetch used by the core scheduler and the analytic cycle model;
 * :class:`WeightCache` — LRU over ResBlock weight sets, sized from the
@@ -22,7 +22,6 @@ eager import here would be circular.
 from ..config import MemoryConfig
 from .bandwidth import (
     MEMORY_PRESETS,
-    DramChannel,
     contenders_per_channel,
     ddr4_2400,
     ddr4_3200,
@@ -43,7 +42,6 @@ _REPORT_EXPORTS = (
 
 __all__ = [
     "MEMORY_PRESETS",
-    "DramChannel",
     "MemoryConfig",
     "PrefetchEvent",
     "TilePrefetcher",

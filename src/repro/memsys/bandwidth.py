@@ -1,10 +1,9 @@
-"""Off-chip link models: DRAM channel accounting and named presets.
+"""Off-chip link models: channel contention and named presets.
 
 The cycle arithmetic itself lives on :class:`repro.config.MemoryConfig`
 (``transfer_cycles``) so the core scheduler can price a fetch without
-importing this package; :class:`DramChannel` wraps one configured link
-shared by ``requesters`` contenders and keeps traffic counters, which
-is what the serving pool and the report layer want.
+importing this package; :func:`contenders_per_channel` gives the
+contenders the serving pool passes it when replicas share channels.
 
 The presets are sustained numbers for common embedded/server parts —
 peak GB/s with a typical burst efficiency and a fixed request latency
@@ -13,58 +12,8 @@ in 200 MHz accelerator cycles.
 
 from __future__ import annotations
 
-
 from ..config import MemoryConfig
 from ..errors import MemoryModelError
-
-
-class DramChannel:
-    """One DDR/AXI channel shared fairly by ``requesters`` contenders.
-
-    Each requester sees ``1/requesters`` of the sustained bandwidth;
-    the per-transfer latency is not divided (each request pays its own
-    CAS/AXI pipeline).  The channel tallies everything it moves so a
-    run can report achieved bandwidth and link utilization.
-    """
-
-    def __init__(
-        self,
-        mem: MemoryConfig,
-        clock_mhz: float,
-        requesters: int = 1,
-    ) -> None:
-        if clock_mhz <= 0:
-            raise MemoryModelError("clock_mhz must be positive")
-        if requesters <= 0:
-            raise MemoryModelError("requesters must be positive")
-        self.mem = mem
-        self.clock_mhz = clock_mhz
-        self.requesters = requesters
-        self.bytes_transferred = 0
-        self.transfers = 0
-        self.busy_cycles = 0
-
-    @property
-    def bytes_per_cycle(self) -> float:
-        """Sustained bytes per accelerator cycle seen by one requester."""
-        return self.mem.bytes_per_cycle(self.clock_mhz) / self.requesters
-
-    def transfer_cycles(self, num_bytes: int) -> int:
-        """Price and record one ``num_bytes`` transfer."""
-        cycles = self.mem.transfer_cycles(
-            num_bytes, self.clock_mhz, self.requesters
-        )
-        self.bytes_transferred += num_bytes
-        self.transfers += 1
-        self.busy_cycles += cycles
-        return cycles
-
-    def achieved_gbps(self, elapsed_cycles: int) -> float:
-        """Mean GB/s actually moved over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        seconds = elapsed_cycles / (self.clock_mhz * 1e6)
-        return self.bytes_transferred / seconds / 1e9
 
 
 def contenders_per_channel(num_requesters: int, channels: int) -> int:

@@ -1,4 +1,4 @@
-"""Link arithmetic: MemoryConfig transfers, DramChannel, presets."""
+"""Link arithmetic: MemoryConfig transfers, channel contention, presets."""
 
 import math
 
@@ -8,7 +8,6 @@ from repro.config import MemoryConfig
 from repro.errors import ConfigError, MemoryModelError
 from repro.memsys import (
     MEMORY_PRESETS,
-    DramChannel,
     contenders_per_channel,
     ddr4_2400,
     memory_preset,
@@ -61,34 +60,6 @@ class TestTransferCycles:
         ):
             with pytest.raises(ConfigError):
                 MemoryConfig(**bad)
-
-
-class TestDramChannel:
-    def test_counters_accumulate(self):
-        channel = DramChannel(LINK, CLOCK)
-        assert channel.transfer_cycles(1000) == 20
-        assert channel.transfer_cycles(500) == 15
-        assert channel.bytes_transferred == 1500
-        assert channel.transfers == 2
-        assert channel.busy_cycles == 35
-
-    def test_requesters_see_a_share(self):
-        shared = DramChannel(LINK, CLOCK, requesters=4)
-        assert shared.bytes_per_cycle == 25.0
-        assert shared.transfer_cycles(1000) == 10 + 40
-
-    def test_achieved_gbps(self):
-        channel = DramChannel(LINK, CLOCK)
-        channel.transfer_cycles(1000)
-        # 1000 B over 200 cycles at 200 MHz = 1 us -> 1 GB/s.
-        assert channel.achieved_gbps(200) == pytest.approx(1.0)
-        assert channel.achieved_gbps(0) == 0.0
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(MemoryModelError):
-            DramChannel(LINK, 0.0)
-        with pytest.raises(MemoryModelError):
-            DramChannel(LINK, CLOCK, requesters=0)
 
 
 class TestPresets:
