@@ -10,6 +10,9 @@ hooks build none of them.
 import ast
 import dataclasses
 import inspect
+from collections import Counter
+
+import pytest
 
 import repro.cluster.simulator as cluster_sim
 import repro.decode.serving as decode_sim
@@ -19,7 +22,15 @@ from repro.cluster.autoscaler import ScaleAction
 from repro.cluster.pools import PoolRuntime
 from repro.cluster.simulator import _ClusterRun
 from repro.cluster.workload import cluster_workload
-from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.config import (
+    DecodeConfig,
+    ServingConfig,
+    paper_accelerator,
+    transformer_base,
+)
+from repro.core.trace import TraceSpan
+from repro.decode import simulate_decode
+from repro.memsys import ddr4_2400
 from repro.serving import poisson_workload, simulate_serving
 from repro.serving.kernel import Complete, Dispatch, Drop, EventKernel
 
@@ -56,6 +67,60 @@ class TestHooksBuildNoViews:
         kernel = EventKernel([], [])
         assert not hasattr(kernel, "spans")
         assert kernel.log == []
+
+
+class TestNoSpanDuringRun:
+    """Devices log what each run did; every ``TraceSpan`` is drawn by the
+    views after ``EventKernel.run`` returns."""
+
+    @pytest.fixture
+    def counted_spans(self, monkeypatch):
+        counts: Counter = Counter()
+        running = []
+        span_init, kernel_run = TraceSpan.__init__, EventKernel.run
+
+        def counting_init(self, *args, **kwargs):
+            counts["run" if running else "views"] += 1
+            span_init(self, *args, **kwargs)
+
+        def flagged_run(self):
+            running.append(self)
+            try:
+                return kernel_run(self)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(TraceSpan, "__init__", counting_init)
+        monkeypatch.setattr(EventKernel, "run", flagged_run)
+        return counts
+
+    @pytest.mark.parametrize("overrides", [
+        dict(memory=ddr4_2400(), batch_fault_rate=0.2,
+             device_failure_rate=0.02, max_retries=2),
+        dict(placement="layer_shard", queue_timeout_us=20_000.0),
+    ])
+    def test_serving(self, counted_spans, overrides):
+        cfg = ServingConfig(arrival_rate_rps=1200.0, num_requests=120,
+                            num_devices=3, seed=5, **overrides)
+        acc = paper_accelerator().with_updates(abft_protected=True)
+        result = simulate_serving(transformer_base(), acc, cfg)
+        assert counted_spans["run"] == 0
+        assert counted_spans["views"] == len(result.spans) > 0
+
+    def test_cluster(self, counted_spans):
+        result = cluster_sim.simulate_cluster(
+            transformer_base(), pinned_cluster(requests_per_tenant=60)
+        )
+        assert counted_spans["run"] == 0
+        assert counted_spans["views"] == len(result.spans) > 0
+
+    def test_decode(self, counted_spans):
+        decode = DecodeConfig(num_streams=16, policy="prefill_chunk",
+                              memory=ddr4_2400(), seed=2)
+        result = simulate_decode(transformer_base(), paper_accelerator(),
+                                 decode)
+        assert counted_spans["run"] == 0
+        assert counted_spans["views"] == len(result.spans) > 0
 
 
 class TestLogAccounting:

@@ -21,6 +21,9 @@ Summing the sites gives ``events <= 3 * offered + 3 * batches +
 a wakeup pushed on every busy-pool dispatch attempt instead makes it
 grow with the backlog (268 per request on the 3,000-request overload
 run of the repo benchmark).
+
+The same random runs also keep every device track exclusive: no two
+spans the views draw on one device overlap.
 """
 
 import dataclasses
@@ -30,10 +33,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import pinned_cluster, simulate_cluster
 from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.memsys import ddr4_2400
 from repro.obs import TraceCollector
 from repro.serving import simulate_serving
 from repro.serving.kernel import ARRIVAL, POOL_FREE
+from repro.statcheck import lint_spans
 
 #: Ceiling on events per request of the linear loop (measured 1.2-2.2).
 EVENTS_PER_REQUEST_MAX = 2.5
@@ -109,6 +115,25 @@ class TestLinearBound:
         assert sum(kinds.values()) <= (
             3 * m.offered + 3 * batches + 2 * serving.num_devices + 2
         )
+
+
+class TestDeviceTracksExclusive:
+    @settings(max_examples=40, deadline=None)
+    @given(serving=serving_configs(), abft=st.booleans(),
+           memory=st.sampled_from([None, ddr4_2400()]))
+    def test_serving_device_spans_never_overlap(self, serving, abft,
+                                                memory):
+        acc = paper_accelerator().with_updates(abft_protected=abft)
+        serving = dataclasses.replace(serving, memory=memory)
+        result = simulate_serving(transformer_base(), acc, serving)
+        assert lint_spans(result.spans, exclusive_tracks=("*device*",)) == []
+
+    def test_pinned_cluster_device_spans_never_overlap(self, model):
+        result = simulate_cluster(
+            model, pinned_cluster(requests_per_tenant=120)
+        )
+        assert any(".device" in s.track for s in result.spans)
+        assert lint_spans(result.spans, exclusive_tracks=("*device*",)) == []
 
 
 #: Three overloaded runs with their ``dataclasses.astuple(metrics)`` and
