@@ -304,7 +304,7 @@ def stream_records(
 def _device_spans(entry: Dispatch, outcome: DispatchOutcome,
                   prefix: str) -> list[TraceSpan]:
     """The device spans of one run: ``batchN`` on its device, or
-    ``batchN.stageD`` per stage of a sharded run."""
+    ``batchN.stageD`` per stage of a sharded run (no cycles args)."""
     batch = entry.batch
     name = f"batch{batch.batch_id}"
     args = {
@@ -315,21 +315,19 @@ def _device_spans(entry: Dispatch, outcome: DispatchOutcome,
             batch.occupancy(entry.pool.workers.acc.seq_len), 4
         ),
     }
-    if outcome.cycles is None:
-        return [
-            TraceSpan(f"{name}.stage{device_id}",
-                      f"{prefix}device{device_id}", start_us, duration_us,
-                      args=args)
-            for device_id, start_us, duration_us in outcome.occupied
-        ]
-    args["cycles"] = outcome.cycles
-    args["reload_cycles"] = outcome.reload_cycles
-    if outcome.hits is not None:
-        args["cache_hits"] = outcome.hits
-        args["cache_misses"] = outcome.misses
-    (device_id, start_us, duration_us), = outcome.occupied
-    return [TraceSpan(name, f"{prefix}device{device_id}", start_us,
-                      duration_us, args=args)]
+    sharded = outcome.cycles is None
+    if not sharded:
+        args["cycles"] = outcome.cycles
+        args["reload_cycles"] = outcome.reload_cycles
+        if outcome.hits is not None:
+            args["cache_hits"] = outcome.hits
+            args["cache_misses"] = outcome.misses
+    return [
+        TraceSpan(f"{name}.stage{device_id}" if sharded else name,
+                  f"{prefix}device{device_id}", start_us, duration_us,
+                  args=args)
+        for device_id, start_us, duration_us in outcome.occupied
+    ]
 
 
 def chrome_spans(log: list, cluster: bool = False) -> list[TraceSpan]:
