@@ -15,6 +15,7 @@ streams it through the double-buffered banks instead).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Hashable
 
 from ..config import AcceleratorConfig, ModelConfig
 from ..errors import MemoryModelError
@@ -40,7 +41,11 @@ def default_weight_cache_bytes(
 
 
 class WeightCache:
-    """LRU cache of ResBlock weight sets, keyed by block name."""
+    """LRU cache of ResBlock weight sets, keyed by block name.
+
+    ``used_bytes`` is a running counter, kept current on insert, on
+    each LRU eviction and in :meth:`remove`, so every access is O(1).
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -49,11 +54,8 @@ class WeightCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[str, int]" = OrderedDict()
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._entries.values())
+        self.used_bytes = 0
+        self._entries: "OrderedDict[Hashable, int]" = OrderedDict()
 
     @property
     def hit_rate(self) -> float:
@@ -63,14 +65,14 @@ class WeightCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, block: str) -> bool:
+    def __contains__(self, block: Hashable) -> bool:
         return block in self._entries
 
     def __iter__(self):
         """Resident block names, least-recently-used first."""
         return iter(self._entries)
 
-    def access(self, block: str, num_bytes: int) -> bool:
+    def access(self, block: Hashable, num_bytes: int) -> bool:
         """Touch ``block``; return True on a hit, else insert (LRU).
 
         A miss evicts least-recently-used blocks until the new one
@@ -87,12 +89,13 @@ class WeightCache:
         self.misses += 1
         if num_bytes <= self.capacity_bytes:
             while self.used_bytes + num_bytes > self.capacity_bytes:
-                self._entries.popitem(last=False)
+                self.used_bytes -= self._entries.popitem(last=False)[1]
                 self.evictions += 1
             self._entries[block] = num_bytes
+            self.used_bytes += num_bytes
         return False
 
-    def remove(self, block: str) -> bool:
+    def remove(self, block: Hashable) -> bool:
         """Drop ``block`` without counting an eviction (owner freed it).
 
         Returns True if the block was resident.  Capacity-pressure
@@ -100,4 +103,6 @@ class WeightCache:
         owner releasing storage (e.g. a finished decode stream's KV
         pages), not the cache running out of room.
         """
-        return self._entries.pop(block, None) is not None
+        num_bytes = self._entries.pop(block, 0)
+        self.used_bytes -= num_bytes
+        return num_bytes > 0

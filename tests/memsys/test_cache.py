@@ -1,6 +1,8 @@
 """WeightCache LRU behavior and the Table II default capacity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import paper_accelerator, transformer_base
 from repro.errors import MemoryModelError
@@ -48,6 +50,46 @@ class TestWeightCache:
             WeightCache(0)
         with pytest.raises(MemoryModelError):
             WeightCache(100).access("a", 0)
+
+
+    def test_remove_frees_bytes_without_an_eviction(self):
+        cache = WeightCache(100)
+        cache.access("a", 40)
+        cache.access("b", 30)
+        assert cache.remove("a")
+        assert not cache.remove("a")
+        assert cache.used_bytes == 30 and cache.evictions == 0
+
+
+#: One cache operation: ``("access", block, size)`` or ``("remove",
+#: block, None)``.  Sizes reach past the 100-byte capacity.
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.sampled_from("abcdef"),
+                  st.integers(1, 150)),
+        st.tuples(st.just("remove"), st.sampled_from("abcdef"),
+                  st.none()),
+    ),
+    max_size=60,
+)
+
+
+class TestUsedBytesCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(cache_ops)
+    def test_counter_matches_resident_sizes(self, ops):
+        cache = WeightCache(100)
+        sizes: dict[str, int] = {}
+        for op, block, size in ops:
+            if op == "access":
+                if not cache.access(block, size) and size <= 100:
+                    sizes[block] = size
+            else:
+                cache.remove(block)
+            sizes = {b: n for b, n in sizes.items() if b in cache}
+            assert set(sizes) == set(cache)
+            assert cache.used_bytes == sum(sizes.values())
+            assert cache.used_bytes <= cache.capacity_bytes
 
 
 class TestDefaultCapacity:
