@@ -10,8 +10,10 @@ at :meth:`~repro.config.MemoryConfig.transfer_cycles` prices.
 
 Residency is tracked per 64-token *page* (one SA pass worth of K or V
 rows) with the LRU machinery of
-:class:`~repro.memsys.cache.WeightCache`, keyed
-``s{stream}.l{layer}.{self|cross}.p{page}``.  A zero-capacity cache is
+:class:`~repro.memsys.cache.WeightCache`, keyed by the int tuple
+``(stream, layer, kind, page)`` (``kind`` 0 for self, 1 for cross
+attention).  Each stream keeps the set of keys it inserted, so freeing
+a finished stream touches only its own pages.  A zero-capacity cache is
 the always-refetch mode: every lookup misses in full and nothing is
 retained — the upper bound a host-DRAM-resident KV cache would pay.
 """
@@ -34,6 +36,9 @@ __all__ = [
 
 #: Tokens per residency page — one zero-padded SA pass worth of rows.
 DEFAULT_PAGE_TOKENS = 64
+
+#: Attention kind -> the int that stands for it in a page key.
+_KINDS = {"self": 0, "cross": 1}
 
 
 def kv_bytes_per_token(model: ModelConfig, acc: AcceleratorConfig) -> int:
@@ -110,6 +115,10 @@ class KVCacheModel:
             WeightCache(self.capacity_bytes)
             if self.capacity_bytes > 0 else None
         )
+        # Keys each live stream inserted (some may since be evicted).
+        self._stream_keys: dict[int, set[tuple[int, int, int, int]]] = {}
+        # Refetch prices by missed bytes: a handful of page multiples.
+        self._refetch_memo: dict[int, int] = {}
 
     @property
     def evictions(self) -> int:
@@ -134,7 +143,37 @@ class KVCacheModel:
     def _refetch_cycles(self, missed_bytes: int) -> int:
         if missed_bytes == 0 or self.mem is None or self.mem.is_unlimited:
             return 0
-        return self.mem.transfer_cycles(missed_bytes, self.acc.clock_mhz)
+        cycles = self._refetch_memo.get(missed_bytes)
+        if cycles is None:
+            cycles = self.mem.transfer_cycles(missed_bytes, self.acc.clock_mhz)
+            self._refetch_memo[missed_bytes] = cycles
+        return cycles
+
+    def _pages(self, context_len: int, kind: str) -> int:
+        """Validate a lookup or populate and return its page count."""
+        if kind not in _KINDS:
+            raise MemoryModelError(
+                f"kind {kind!r} is not 'self' or 'cross'"
+            )
+        if context_len <= 0:
+            raise MemoryModelError("context_len must be positive")
+        return -(-context_len // self.page_tokens)
+
+    def _touch(
+        self, stream: int, layer: int, kind: str, pages: int
+    ) -> int:
+        """Access pages ``0..pages-1`` oldest-first; return the hits."""
+        lru = self._lru
+        keys = self._stream_keys.setdefault(stream, set())
+        code = _KINDS[kind]
+        hits = 0
+        for page in range(pages):
+            key = (stream, layer, code, page)
+            if lru.access(key, self.page_bytes):
+                hits += 1
+            else:
+                keys.add(key)
+        return hits
 
     def lookup(
         self,
@@ -149,19 +188,11 @@ class KVCacheModel:
         passes consume them), so under pressure the LRU keeps the tail
         of the context — the pages the *next* step reads last.
         """
-        if kind not in ("self", "cross"):
-            raise MemoryModelError(
-                f"kind {kind!r} is not 'self' or 'cross'"
-            )
-        if context_len <= 0:
-            raise MemoryModelError("context_len must be positive")
-        pages = -(-context_len // self.page_tokens)
-        hits = 0
-        if self._lru is not None:
-            for page in range(pages):
-                key = f"s{stream}.l{layer}.{kind}.p{page}"
-                if self._lru.access(key, self.page_bytes):
-                    hits += 1
+        pages = self._pages(context_len, kind)
+        hits = (
+            self._touch(stream, layer, kind, pages)
+            if self._lru is not None else 0
+        )
         misses = pages - hits
         self.lookups += pages
         self.hits += hits
@@ -182,25 +213,19 @@ class KVCacheModel:
 
         Prefill *produces* the pages (writes), so residency is seeded
         but the hit/miss statistics — which describe decode-step
-        *reads* — are left untouched.  No-op in zero-capacity mode.
+        *reads* — are left untouched.  Arguments are checked as in
+        :meth:`lookup`; otherwise a no-op in zero-capacity mode.
         """
+        pages = self._pages(context_len, kind)
         if self._lru is None:
             return
-        if context_len <= 0:
-            raise MemoryModelError("context_len must be positive")
-        pages = -(-context_len // self.page_tokens)
         saved = (self._lru.hits, self._lru.misses)
-        for page in range(pages):
-            self._lru.access(
-                f"s{stream}.l{layer}.{kind}.p{page}", self.page_bytes
-            )
+        self._touch(stream, layer, kind, pages)
         self._lru.hits, self._lru.misses = saved
 
     def evict_stream(self, stream: int) -> None:
         """Drop a finished stream's pages (frees capacity immediately)."""
         if self._lru is None:
             return
-        prefix = f"s{stream}."
-        stale = [key for key in self._lru if key.startswith(prefix)]
-        for key in stale:
+        for key in self._stream_keys.pop(stream, ()):
             self._lru.remove(key)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from repro.config import AcceleratorConfig, MemoryConfig, ModelConfig
 from repro.decode import (
     KVCacheModel,
+    KVLookup,
     default_kv_cache_bytes,
     kv_bytes_per_token,
 )
 from repro.errors import MemoryModelError
+from repro.memsys import WeightCache
 
 
 def base_model() -> ModelConfig:
@@ -124,8 +126,116 @@ class TestStreamLifecycle:
         assert cache.lookup(1, 0, 128).hits == 2   # stream 1 intact
         assert cache.lookup(0, 0, 128).misses == 2  # stream 0 gone
 
+    def test_populate_rejects_an_unknown_kind(self):
+        # A page seeded under a kind no lookup reads would sit in the
+        # budget forever; populate refuses it exactly as lookup does.
+        for capacity in (None, 0):
+            cache = make_cache(capacity_bytes=capacity)
+            with pytest.raises(MemoryModelError, match="is not 'self'"):
+                cache.populate(0, 0, 128, kind="bogus")
+            assert cache.used_bytes == 0
+
     def test_refetch_free_without_memory_system(self):
         cache = make_cache(capacity_bytes=0, mem=None)
         look = cache.lookup(0, 0, 256)
         assert look.misses == look.pages
         assert look.refetch_cycles == 0
+
+
+class _ReferenceKVCache:
+    """The string-keyed, prefix-scan residency model, kept as an oracle.
+
+    Pages are keyed ``s{stream}.l{layer}.{kind}.p{page}`` and a
+    finished stream is freed by scanning every resident key for its
+    ``s{stream}.`` prefix.  Slow, but plainly correct.
+    """
+
+    def __init__(self, model, acc, capacity_bytes, mem, page_tokens=64):
+        self.acc, self.mem = acc, mem
+        self.page_tokens = page_tokens
+        self.page_bytes = page_tokens * kv_bytes_per_token(model, acc)
+        self.hits = self.misses = 0
+        self.lru = WeightCache(capacity_bytes) if capacity_bytes else None
+
+    @property
+    def evictions(self):
+        return self.lru.evictions if self.lru is not None else 0
+
+    @property
+    def used_bytes(self):
+        return (sum(self.lru._entries.values())
+                if self.lru is not None else 0)
+
+    def lookup(self, stream, layer, context_len, kind="self"):
+        pages = -(-context_len // self.page_tokens)
+        hits = 0
+        if self.lru is not None:
+            for page in range(pages):
+                key = f"s{stream}.l{layer}.{kind}.p{page}"
+                if self.lru.access(key, self.page_bytes):
+                    hits += 1
+        misses = pages - hits
+        self.hits += hits
+        self.misses += misses
+        missed = misses * self.page_bytes
+        refetch = (
+            0 if missed == 0 or self.mem is None
+            else self.mem.transfer_cycles(missed, self.acc.clock_mhz)
+        )
+        return KVLookup(pages, hits, misses, missed, refetch)
+
+    def populate(self, stream, layer, context_len, kind="self"):
+        if self.lru is None:
+            return
+        saved = (self.lru.hits, self.lru.misses)
+        for page in range(-(-context_len // self.page_tokens)):
+            self.lru.access(f"s{stream}.l{layer}.{kind}.p{page}",
+                            self.page_bytes)
+        self.lru.hits, self.lru.misses = saved
+
+    def evict_stream(self, stream):
+        if self.lru is None:
+            return
+        prefix = f"s{stream}."
+        for key in [k for k in self.lru if k.startswith(prefix)]:
+            self.lru.remove(key)
+
+
+#: Streams 1, 10 and 11 share string prefixes ("s1" / "s10" / "s11"):
+#: freeing one must never free another.
+kv_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["lookup", "populate"]),
+            st.sampled_from([0, 1, 10, 11]),    # stream
+            st.integers(0, 2),                  # layer
+            st.integers(1, 400),                # context_len
+            st.sampled_from(["self", "cross"]),
+        ),
+        st.tuples(st.just("evict"), st.sampled_from([0, 1, 10, 11])),
+    ),
+    max_size=50,
+)
+
+
+class TestMatchesStringKeyedReference:
+    @settings(max_examples=150, deadline=None)
+    @given(kv_ops, st.sampled_from([0, 3 * 65536, 10 * 65536, None]))
+    def test_every_operation_agrees(self, ops, capacity):
+        mem = MemoryConfig(bandwidth_gbps=10.0)
+        cache = make_cache(capacity_bytes=capacity, mem=mem)
+        ref = _ReferenceKVCache(
+            base_model(), AcceleratorConfig(), cache.capacity_bytes, mem
+        )
+        for op in ops:
+            if op[0] == "evict":
+                cache.evict_stream(op[1])
+                ref.evict_stream(op[1])
+            elif op[0] == "lookup":
+                assert cache.lookup(*op[1:]) == ref.lookup(*op[1:])
+            else:
+                cache.populate(*op[1:])
+                ref.populate(*op[1:])
+            assert (cache.hits, cache.misses, cache.evictions,
+                    cache.used_bytes) == (ref.hits, ref.misses,
+                                          ref.evictions, ref.used_bytes)
