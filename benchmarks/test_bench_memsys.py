@@ -11,10 +11,13 @@ Two claims the memsys subsystem is built around:
   from the flat-reload baseline.
 
 The timed region is one full memory-system analysis of the paper point.
+A third bench pins how often serving prices a DRAM transfer per
+dispatch: each fixed ResBlock fetch is priced once per contender count,
+so a thrashing cache must not re-price its misses on every run.
 """
 
 from repro.analysis import render_table
-from repro.config import ServingConfig
+from repro.config import MemoryConfig, ServingConfig
 from repro.memsys import analyze_memory_system, ddr4_2400
 from repro.serving import simulate_serving
 
@@ -102,3 +105,28 @@ def test_bench_memsys_weight_cache(base_model, paper_acc, bench_headline):
     # The cache is the reason: disabling it multiplies exposed traffic.
     assert uncached.weight_cache_hit_rate == 0.0
     assert uncached.reload_stall_cycles > cached.reload_stall_cycles
+
+
+def test_bench_memsys_transfer_calls(
+    base_model, paper_acc, bench_headline, monkeypatch
+):
+    # The default (Table II) cache holds one layer, so this run misses
+    # on nearly every block of every dispatch.
+    calls = 0
+    transfer_cycles = MemoryConfig.transfer_cycles
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return transfer_cycles(self, *args)
+
+    monkeypatch.setattr(MemoryConfig, "transfer_cycles", counted)
+    metrics = simulate_serving(
+        base_model, paper_acc, _serving(memory=ddr4_2400())
+    ).metrics
+    per_dispatch = calls / metrics.num_batches
+    print(f"\n{calls} transfer_cycles calls over {metrics.num_batches} "
+          f"dispatches ({metrics.weight_cache_misses} cache misses)")
+    bench_headline("memsys.transfer_calls_per_dispatch", per_dispatch)
+    # Pricing is per block and contender count, not per miss.
+    assert calls < metrics.weight_cache_misses

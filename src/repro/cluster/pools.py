@@ -64,33 +64,20 @@ class GpuBatchCostModel:
         self.mha_cycles = round(mha_us * GPU_TIME_BASE_MHZ)
         self.ffn_cycles = round(ffn_us * GPU_TIME_BASE_MHZ)
         self.reload_cycles = 0
-
-    @property
-    def layer_units(self) -> list[tuple[str, int, int]]:
-        """Per-layer ``(name, compute_cycles, ideal_cycles)`` entries.
-
-        The roofline has no padding waste of its own, so the "ideal"
-        cycles equal the compute cycles — GPU pools report utilization
-        1.0 and the cluster's utilization stories stay FPGA-side.
-        """
-        enc = ("enc", self.mha_cycles + self.ffn_cycles,
-               self.mha_cycles + self.ffn_cycles)
-        dec = ("dec", 2 * self.mha_cycles + self.ffn_cycles,
-               2 * self.mha_cycles + self.ffn_cycles)
-        return ([enc] * self.model.num_encoder_layers
-                + [dec] * self.model.num_decoder_layers)
-
-    @property
-    def compute_cycles(self) -> int:
-        return sum(cycles for _, cycles, _ in self.layer_units)
-
-    @property
-    def ideal_cycles(self) -> int:
-        return self.compute_cycles
-
-    @property
-    def run_cycles(self) -> int:
-        return self.compute_cycles
+        # The roofline has no padding waste of its own, so a layer's
+        # "ideal" cycles equal its compute cycles: GPU pools report
+        # utilization 1.0 and the cluster's utilization stories stay
+        # FPGA-side.  Every field is fixed, so each is computed once.
+        enc = self.mha_cycles + self.ffn_cycles
+        dec = 2 * self.mha_cycles + self.ffn_cycles
+        #: Per-layer ``(name, compute_cycles, ideal_cycles)`` entries.
+        self.layer_units: tuple[tuple[str, int, int], ...] = (
+            (("enc", enc, enc),) * model.num_encoder_layers
+            + (("dec", dec, dec),) * model.num_decoder_layers
+        )
+        self.compute_cycles = sum(c for _, c, _ in self.layer_units)
+        self.ideal_cycles = self.compute_cycles
+        self.run_cycles = self.compute_cycles
 
     def run_us(self, include_reload: bool = True) -> float:
         return self.acc.cycles_to_us(self.run_cycles)

@@ -96,8 +96,8 @@ class BatchCostModel:
         spec = DENSE if compression is None else compression
         mha = schedule_mha(model, acc, spec=spec)
         ffn = schedule_ffn(model, acc, spec=spec)
-        self._mha_bytes = mha_weight_bytes(model, acc, spec)
-        self._ffn_bytes = ffn_weight_bytes(model, acc, spec)
+        mha_bytes = mha_weight_bytes(model, acc, spec)
+        ffn_bytes = ffn_weight_bytes(model, acc, spec)
         self.mha_cycles = mha.total_cycles
         self.ffn_cycles = ffn.total_cycles
         self.mha_ideal = mha.ideal_sa_cycles
@@ -108,51 +108,37 @@ class BatchCostModel:
             mha_compute_cycles=self.mha_cycles,
             ffn_compute_cycles=self.ffn_cycles,
         )
-
-    @property
-    def layer_units(self) -> list[tuple[str, int, int]]:
-        """Per-layer ``(name, compute_cycles, ideal_cycles)`` entries."""
+        # Every field below is fixed for the model's lifetime, so each
+        # is computed here once rather than on every dispatch.
         enc = ("enc", self.mha_cycles + self.ffn_cycles,
                self.mha_ideal + self.ffn_ideal)
         dec = ("dec", 2 * self.mha_cycles + self.ffn_cycles,
                2 * self.mha_ideal + self.ffn_ideal)
-        return ([enc] * self.model.num_encoder_layers
-                + [dec] * self.model.num_decoder_layers)
-
-    @property
-    def block_units(self) -> list[tuple[str, int, int]]:
-        """Per-ResBlock ``(name, compute_cycles, weight_bytes)`` entries.
-
-        The execution-order unit the memory system works at: each
-        ResBlock's weight set is one cache entry and one off-chip fetch
-        (MHA blocks carry the four ``d_model x d_model`` projections,
-        FFN blocks ``W1`` + ``W2``).
-        """
-        mha_bytes, ffn_bytes = self._mha_bytes, self._ffn_bytes
+        #: Per-layer ``(name, compute_cycles, ideal_cycles)`` entries.
+        self.layer_units: tuple[tuple[str, int, int], ...] = (
+            (enc,) * model.num_encoder_layers
+            + (dec,) * model.num_decoder_layers
+        )
+        #: Per-ResBlock ``(name, compute_cycles, weight_bytes)`` entries:
+        #: the execution-order unit the memory system works at.  Each
+        #: ResBlock's weight set is one cache entry and one off-chip
+        #: fetch (MHA blocks carry the four ``d_model x d_model``
+        #: projections, FFN blocks ``W1`` + ``W2``).
         blocks: list[tuple[str, int, int]] = []
-        for i in range(self.model.num_encoder_layers):
+        for i in range(model.num_encoder_layers):
             blocks.append((f"enc{i}.mha", self.mha_cycles, mha_bytes))
             blocks.append((f"enc{i}.ffn", self.ffn_cycles, ffn_bytes))
-        for i in range(self.model.num_decoder_layers):
+        for i in range(model.num_decoder_layers):
             blocks.append((f"dec{i}.self", self.mha_cycles, mha_bytes))
             blocks.append((f"dec{i}.cross", self.mha_cycles, mha_bytes))
             blocks.append((f"dec{i}.ffn", self.ffn_cycles, ffn_bytes))
-        return blocks
-
-    @property
-    def compute_cycles(self) -> int:
-        """Pure compute cycles of one full-model run."""
-        return sum(cycles for _, cycles, _ in self.layer_units)
-
-    @property
-    def ideal_cycles(self) -> int:
-        """100%-utilization MAC cycles of one full-model run."""
-        return sum(ideal for _, _, ideal in self.layer_units)
-
-    @property
-    def run_cycles(self) -> int:
-        """Compute + exposed reload cycles (``"replicate"`` placement)."""
-        return self.compute_cycles + self.reload_cycles
+        self.block_units: tuple[tuple[str, int, int], ...] = tuple(blocks)
+        #: Pure compute cycles of one full-model run.
+        self.compute_cycles = sum(c for _, c, _ in self.layer_units)
+        #: 100%-utilization MAC cycles of one full-model run.
+        self.ideal_cycles = sum(i for _, _, i in self.layer_units)
+        #: Compute + exposed reload cycles (``"replicate"`` placement).
+        self.run_cycles = self.compute_cycles + self.reload_cycles
 
     def run_us(self, include_reload: bool = True) -> float:
         cycles = self.run_cycles if include_reload else self.compute_cycles

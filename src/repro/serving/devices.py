@@ -149,10 +149,12 @@ class WorkerPool:
         self.mem = mem if placement == "replicate" else None
         self._caches: Optional[list[WeightCache]] = None
         self._contenders = 1
+        # Per contender count, each ResBlock's ``(name, compute_cycles,
+        # weight_bytes, fetch_cycles)`` in execution order: every fetch
+        # is priced once, not once per miss.
+        self._fetch_tables: dict[int, tuple] = {}
         if self.mem is not None:
-            self._contenders = contenders_per_channel(
-                num_devices, self.mem.shared_channels
-            )
+            self._recount_contenders()
             if self.mem.enable_weight_cache:
                 capacity = (
                     int(self.mem.weight_cache_kib * 1024)
@@ -237,11 +239,21 @@ class WorkerPool:
         return device
 
     def _recount_contenders(self) -> None:
-        """Re-derive DRAM-channel contention from the active replicas."""
-        if self.mem is not None:
-            self._contenders = contenders_per_channel(
-                max(1, len(self._active)), self.mem.shared_channels
+        """Re-derive DRAM-channel contention and its fetch table."""
+        if self.mem is None:
+            return
+        self._contenders = contenders = contenders_per_channel(
+            max(1, len(self._active)), self.mem.shared_channels
+        )
+        table = self._fetch_tables.get(contenders)
+        if table is None:
+            clock_mhz = self.acc.clock_mhz
+            table = self._fetch_tables[contenders] = tuple(
+                (name, compute, nbytes,
+                 self.mem.transfer_cycles(nbytes, clock_mhz, contenders))
+                for name, compute, nbytes in self.cost.block_units
             )
+        self._fetch_table = table
 
     def fail_device(self, device_id: int, at_us: float) -> None:
         """Fail-stop ``device_id`` at ``at_us`` (no effect if dead)."""
@@ -318,15 +330,15 @@ class WorkerPool:
         prev_compute = 0
         hits = 0
         misses = 0
-        for name, compute_cycles, weight_bytes in self.cost.block_units:
+        for name, compute_cycles, weight_bytes, fetch_cycles in (
+            self._fetch_table
+        ):
             if cache is not None and cache.access(name, weight_bytes):
                 hits += 1
                 fetch = 0
             else:
                 misses += 1
-                fetch = mem.transfer_cycles(
-                    weight_bytes, self.acc.clock_mhz, self._contenders
-                )
+                fetch = fetch_cycles
             if mem.double_buffered_prefetch:
                 exposed += max(0, fetch - prev_compute)
             else:

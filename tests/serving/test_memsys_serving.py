@@ -119,6 +119,30 @@ class TestChannelContention:
         assert (pool._memsys_reload_cycles(1)[0]
                 == alone._memsys_reload_cycles(0)[0])
 
+    def test_membership_changes_reprice_the_next_miss(self, model, acc):
+        # Every add/drain re-derives contention: the next miss is priced
+        # exactly as in a fresh pool of the new size (no stale fetches).
+        mem = ddr4_2400().with_updates(
+            shared_channels=1, enable_weight_cache=False
+        )
+        pool = self._pool(model, acc, mem, 1)
+        steps = (
+            (lambda: pool.add_device(0.0), 2),
+            (lambda: pool.add_device(0.0), 3),
+            (lambda: pool.drain_device(0, 0.0), 2),
+            (lambda: pool.drain_device(1, 0.0), 1),
+            (lambda: pool.add_device(0.0), 2),
+        )
+        for change, size in steps:
+            change()
+            fresh = self._pool(model, acc, mem, size)
+            device = pool.active_devices[0].device_id
+            assert (pool._memsys_reload_cycles(device)
+                    == fresh._memsys_reload_cycles(0))
+        # Distinct contention really prices differently.
+        assert (self._pool(model, acc, mem, 1)._memsys_reload_cycles(0)
+                != self._pool(model, acc, mem, 3)._memsys_reload_cycles(0))
+
     def test_device_failures_lower_the_reload_stall(self, model, acc):
         # Pinned: the run loses a replica early; with it still counted
         # as a contender the stall read 31,641,261 cycles.
