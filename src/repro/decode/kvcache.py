@@ -159,9 +159,7 @@ class KVCacheModel:
             raise MemoryModelError("context_len must be positive")
         return -(-context_len // self.page_tokens)
 
-    def _touch(
-        self, stream: int, layer: int, kind: str, pages: int
-    ) -> int:
+    def _touch(self, stream: int, layer: int, kind: str, pages: int) -> int:
         """Access pages ``0..pages-1`` oldest-first; return the hits."""
         lru = self._lru
         keys = self._stream_keys.setdefault(stream, set())

@@ -15,7 +15,7 @@ streams it through the double-buffered banks instead).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from collections.abc import Hashable
 
 from ..config import AcceleratorConfig, ModelConfig
 from ..errors import MemoryModelError
@@ -42,6 +42,9 @@ def default_weight_cache_bytes(
 
 class WeightCache:
     """LRU cache of ResBlock weight sets, keyed by block name.
+
+    Any hashable key works: the K/V residency model keys pages by int
+    tuples (:mod:`repro.decode.kvcache`).
 
     ``used_bytes`` is a running counter, kept current on insert, on
     each LRU eviction and in :meth:`remove`, so every access is O(1).

@@ -119,11 +119,11 @@ class BatchCostModel:
             (enc,) * model.num_encoder_layers
             + (dec,) * model.num_decoder_layers
         )
-        #: Per-ResBlock ``(name, compute_cycles, weight_bytes)`` entries:
-        #: the execution-order unit the memory system works at.  Each
-        #: ResBlock's weight set is one cache entry and one off-chip
-        #: fetch (MHA blocks carry the four ``d_model x d_model``
-        #: projections, FFN blocks ``W1`` + ``W2``).
+        # Per-ResBlock ``(name, compute_cycles, weight_bytes)`` entries:
+        # the execution-order unit the memory system works at.  Each
+        # ResBlock's weight set is one cache entry and one off-chip
+        # fetch (MHA blocks carry the four ``d_model x d_model``
+        # projections, FFN blocks ``W1`` + ``W2``).
         blocks: list[tuple[str, int, int]] = []
         for i in range(model.num_encoder_layers):
             blocks.append((f"enc{i}.mha", self.mha_cycles, mha_bytes))
