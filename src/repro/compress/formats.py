@@ -90,23 +90,6 @@ class BlockCirculantMatrix:
             seeds[:, :, d] = blocks[:, :, mask].mean(axis=-1)
         return cls(seeds=seeds, block_size=b, rows=rows, cols=cols)
 
-    @classmethod
-    def from_seeds(
-        cls, seeds: np.ndarray, block_size: int
-    ) -> BlockCirculantMatrix:
-        """Wrap an explicit seed tensor (e.g. integer codes)."""
-        seeds = np.asarray(seeds)
-        if seeds.ndim != 3 or seeds.shape[2] != block_size:
-            raise ConfigError(
-                f"seeds must be (rows/b, cols/b, {block_size}), "
-                f"got {seeds.shape}"
-            )
-        return cls(
-            seeds=seeds, block_size=block_size,
-            rows=seeds.shape[0] * block_size,
-            cols=seeds.shape[1] * block_size,
-        )
-
     def expand(self) -> np.ndarray:
         """Dense ``(rows, cols)`` matrix with every block made circulant."""
         b = self.block_size

@@ -154,14 +154,6 @@ def bert_large() -> ModelConfig:
     )
 
 
-def tiny_for_tests() -> ModelConfig:
-    """A minimal config (h=1, d_model=64) for fast unit tests."""
-    return ModelConfig(
-        "tiny", d_model=64, d_ff=256, num_heads=1,
-        num_encoder_layers=1, num_decoder_layers=1, max_seq_len=16,
-    )
-
-
 #: All Table I presets keyed by canonical name.
 TABLE1_PRESETS: dict[str, ModelConfig] = {
     "transformer-base": transformer_base(),
@@ -972,11 +964,6 @@ class ClusterConfig:
             raise ConfigError("ewma_alpha must lie in (0, 1]")
         if self.fairness_window_us <= 0:
             raise ConfigError("fairness_window_us must be positive")
-
-    @property
-    def device_budget(self) -> int:
-        """Total ``max_devices`` across pools — the capacity budget."""
-        return sum(p.max_devices for p in self.pools)
 
     def with_updates(self, **changes: object) -> ClusterConfig:
         """Return a copy of this config with the given fields replaced."""

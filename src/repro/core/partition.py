@@ -42,10 +42,6 @@ class WeightBlock:
     columns: slice
     data: np.ndarray
 
-    @property
-    def inner_dim(self) -> int:
-        return self.data.shape[0]
-
 
 def partition_columns(
     matrix: np.ndarray, name: str, block_cols: int = SA_COLS

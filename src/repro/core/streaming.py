@@ -200,10 +200,6 @@ class StreamingLayerNorm:
         self._finalized = False
 
     @property
-    def groups_received(self) -> int:
-        return len(self._groups)
-
-    @property
     def expected_groups(self) -> int:
         return self.d_model // self.config.sa_cols
 

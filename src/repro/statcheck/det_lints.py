@@ -170,15 +170,6 @@ def _is_seeded_default_rng(node: ast.expr) -> bool:
     return bool(node.args) or bool(node.keywords)
 
 
-def _is_unseeded_default_rng(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    chain = _attr_chain(node.func)
-    if chain is None or chain[-1] != "default_rng":
-        return False
-    return not node.args and not node.keywords
-
-
 _FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
