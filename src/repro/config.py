@@ -1,4 +1,4 @@
-"""Model and accelerator configurations.
+"""Model, accelerator and simulation configurations.
 
 This module defines:
 
@@ -9,6 +9,18 @@ This module defines:
   accelerator (systolic-array geometry, clock, pipeline overheads) used by
   the cycle-level simulator, the analytic cycle model, and the resource and
   power models.
+* :class:`MemoryConfig` and :class:`CompressionSpec` — the off-chip link
+  and the weight-compression scheme.
+* :class:`ServingConfig`, :class:`DecodeConfig` and :class:`ClusterConfig`
+  (with :class:`TenantConfig`, :class:`PoolConfig` and
+  :class:`AutoscalerConfig`) — one simulated serving, decode or cluster
+  run.
+
+All ten are frozen dataclasses on one base, :class:`_Config`: construction
+runs the class's own ``validate`` (raising :class:`ConfigError`), and
+``with_updates(**changes)`` returns a validated copy of the same class.
+Each field is read by the code it configures; a constant that no caller
+varies lives next to that code instead.
 
 The paper's central structural observation (Section III) is that all the
 listed architectures satisfy ``d_model = 64 * h`` and
@@ -22,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, ClassVar, Optional, TypeVar
 
 from .errors import ConfigError
 
@@ -32,9 +44,27 @@ HEAD_DIM = 64
 #: Number of systolic-array columns; equal to the head dimension.
 SA_COLS = 64
 
+_C = TypeVar("_C", bound="_Config")
+
+
+class _Config:
+    """Base of the frozen config dataclasses: validate, copy with changes."""
+
+    __dataclass_fields__: ClassVar[dict[str, Any]]
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` if the configuration is inconsistent."""
+
+    def with_updates(self: _C, **changes: object) -> _C:
+        """Return a validated copy with the given fields replaced."""
+        return dataclasses.replace(self, **changes)
+
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Config):
     """Hyper-parameters of a Transformer-family model (paper Table I).
 
     Attributes:
@@ -56,9 +86,6 @@ class ModelConfig:
     num_decoder_layers: int = 6
     max_seq_len: int = 64
     dropout: float = 0.1
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if the configuration is inconsistent."""
@@ -123,10 +150,6 @@ class ModelConfig:
         """Multiply-accumulate count of one FFN ResBlock at length s."""
         return s * self.d_model * self.d_ff * 2
 
-    def with_updates(self, **changes: object) -> ModelConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 def transformer_base() -> ModelConfig:
     """Transformer-base (Vaswani et al. 2017): d_model=512, d_ff=2048, h=8."""
@@ -174,7 +197,7 @@ def preset(name: str) -> ModelConfig:
 
 
 @dataclass(frozen=True)
-class AcceleratorConfig:
+class AcceleratorConfig(_Config):
     """Parameters of the proposed accelerator and its latency model.
 
     The systolic array has ``seq_len`` rows and :data:`SA_COLS` columns
@@ -250,9 +273,6 @@ class AcceleratorConfig:
     weight_bits: int = 8
     acc_bits: int = 32
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid accelerator parameters."""
         if self.seq_len <= 0 or self.sa_cols <= 0:
@@ -293,10 +313,6 @@ class AcceleratorConfig:
         """Convert a cycle count to microseconds at the configured clock."""
         return cycles * self.clock_period_us
 
-    def with_updates(self, **changes: object) -> AcceleratorConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 def paper_accelerator() -> AcceleratorConfig:
     """The configuration evaluated in the paper: 64x64 SA at 200 MHz."""
@@ -304,7 +320,7 @@ def paper_accelerator() -> AcceleratorConfig:
 
 
 @dataclass(frozen=True)
-class MemoryConfig:
+class MemoryConfig(_Config):
     """Off-chip memory-system parameters (:mod:`repro.memsys`).
 
     The paper assumes every weight tile is already resident in the
@@ -345,9 +361,6 @@ class MemoryConfig:
     weight_cache_kib: Optional[float] = None
     enable_weight_cache: bool = True
     shared_channels: int = 1
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid memory parameters."""
@@ -402,13 +415,9 @@ class MemoryConfig:
         stream = math.ceil(num_bytes / per_requester)
         return self.transfer_latency_cycles + stream
 
-    def with_updates(self, **changes: object) -> MemoryConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class CompressionSpec:
+class CompressionSpec(_Config):
     """Structured weight-compression scheme (:mod:`repro.compress`).
 
     Describes how the off-chip weight matrices are stored and how the
@@ -446,9 +455,6 @@ class CompressionSpec:
     block_size: int = 8
     n: int = 2
     m: int = 4
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid compression parameters."""
@@ -568,10 +574,6 @@ class CompressionSpec:
         dense = k * cols * weight_bits // 8
         return self.weight_tile_bytes(k, cols, weight_bits) / dense
 
-    def with_updates(self, **changes: object) -> CompressionSpec:
-        """Return a copy of this spec with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 def circulant_spec(block_size: int = 8) -> CompressionSpec:
     """Block-circulant spec with the given block edge."""
@@ -584,7 +586,7 @@ def nm_sparse_spec(n: int = 2, m: int = 4) -> CompressionSpec:
 
 
 @dataclass(frozen=True)
-class TenantConfig:
+class TenantConfig(_Config):
     """One tenant's traffic contract in a cluster run (:mod:`repro.cluster`).
 
     A tenant is an independent traffic source with its own arrival
@@ -638,9 +640,6 @@ class TenantConfig:
     burst_mean_us: float = 50_000.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid tenant parameters."""
         if not self.name:
@@ -686,13 +685,9 @@ class TenantConfig:
                 f"tenant {self.name}: burst_mean_us must be positive"
             )
 
-    def with_updates(self, **changes: object) -> TenantConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class PoolConfig:
+class PoolConfig(_Config):
     """One heterogeneous device pool in a cluster (:mod:`repro.cluster`).
 
     A pool is an independent worker group fronted by its own admission
@@ -742,9 +737,6 @@ class PoolConfig:
     memory: Optional[MemoryConfig] = None
     gpu_kernel_overhead_us: float = 5.0
     compression: Optional[CompressionSpec] = None
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid pool parameters."""
@@ -797,13 +789,9 @@ class PoolConfig:
                     "(the roofline model prices dense kernels only)"
                 )
 
-    def with_updates(self, **changes: object) -> PoolConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class AutoscalerConfig:
+class AutoscalerConfig(_Config):
     """Threshold autoscaling policy over a cluster's replicate pools.
 
     The autoscaler wakes every ``interval_us``, reads each pool's
@@ -848,9 +836,6 @@ class AutoscalerConfig:
     p99_window_us: float = 200_000.0
     scale_up_burn_rate: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid autoscaler parameters."""
         if self.interval_us <= 0:
@@ -871,13 +856,9 @@ class AutoscalerConfig:
                 "scale_up_burn_rate must be positive (or None)"
             )
 
-    def with_updates(self, **changes: object) -> AutoscalerConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_Config):
     """Parameters of one simulated cluster run (:mod:`repro.cluster`).
 
     A cluster is N heterogeneous :class:`PoolConfig` pools fronted by
@@ -922,9 +903,6 @@ class ClusterConfig:
     fairness_window_us: float = 250_000.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid cluster parameters."""
         if not self.pools:
@@ -965,13 +943,9 @@ class ClusterConfig:
         if self.fairness_window_us <= 0:
             raise ConfigError("fairness_window_us must be positive")
 
-    def with_updates(self, **changes: object) -> ClusterConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class ServingConfig:
+class ServingConfig(_Config):
     """Parameters of one simulated serving run (:mod:`repro.serving`).
 
     Attributes:
@@ -1042,9 +1016,6 @@ class ServingConfig:
     memory: Optional[MemoryConfig] = None
     compression: Optional[CompressionSpec] = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid serving parameters."""
         if self.arrival_rate_rps <= 0:
@@ -1088,13 +1059,9 @@ class ServingConfig:
                 self.compression, CompressionSpec):
             raise ConfigError("compression must be a CompressionSpec (or None)")
 
-    def with_updates(self, **changes: object) -> ServingConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class DecodeConfig:
+class DecodeConfig(_Config):
     """Parameters of one mixed prefill/decode run (:mod:`repro.decode`).
 
     Attributes:
@@ -1139,9 +1106,6 @@ class DecodeConfig:
     seed: int = 0
     memory: Optional[MemoryConfig] = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise :class:`ConfigError` on invalid decode parameters."""
         if self.arrival_rate_rps <= 0:
@@ -1178,6 +1142,3 @@ class DecodeConfig:
         if self.memory is not None and not isinstance(self.memory, MemoryConfig):
             raise ConfigError("memory must be a MemoryConfig (or None)")
 
-    def with_updates(self, **changes: object) -> DecodeConfig:
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
