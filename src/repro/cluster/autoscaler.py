@@ -112,7 +112,7 @@ class Autoscaler:
         if pool.depth_per_device() > cfg.scale_up_queue_depth:
             return "queue_depth"
         if (cfg.scale_up_p99_us is not None
-                and pool.windowed_p99_us(now_us, cfg.p99_window_us)
+                and pool.windowed_p99_us(now_us)
                 > cfg.scale_up_p99_us):
             return "p99"
         if (cfg.scale_up_burn_rate is not None

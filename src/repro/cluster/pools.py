@@ -37,6 +37,13 @@ from ..telemetry.registry import percentile
 #: nanosecond, so roofline microsecond latencies convert losslessly.
 GPU_TIME_BASE_MHZ = 1000.0
 
+#: Smoothing factor of the router's per-pool latency EWMA.
+EWMA_ALPHA = 0.2
+
+#: Width of the completed-latency window the autoscaler's p99 signal
+#: is computed over (200 ms).
+P99_WINDOW_US = 200_000.0
+
 
 class GpuBatchCostModel:
     """Roofline batch cost in :class:`BatchCostModel`'s interface.
@@ -88,15 +95,7 @@ def build_cost_model(
 ) -> Union[BatchCostModel, GpuBatchCostModel]:
     """Instantiate the pool's cost model from its config."""
     if pool.kind == "gpu":
-        base = v100_batched()
-        spec = GpuSpec(
-            name=base.name,
-            peak_flops=base.peak_flops,
-            memory_bandwidth=base.memory_bandwidth,
-            kernel_overhead_s=pool.gpu_kernel_overhead_us * 1e-6,
-            gemm_efficiency=base.gemm_efficiency,
-        )
-        return GpuBatchCostModel(model, spec, seq_len)
+        return GpuBatchCostModel(model, v100_batched(), seq_len)
     acc = AcceleratorConfig(
         seq_len=seq_len,
         clock_mhz=pool.clock_mhz,
@@ -168,16 +167,15 @@ class PoolRuntime(PoolState):
         backlog_batches = len(self.queue) / self.batcher.max_requests
         return now_us + wait_for_device + (backlog_batches + 1.0) * self.run_us
 
-    def observe_completion(
-        self, completion_us: float, latency_us: float, alpha: float
-    ) -> None:
+    def observe_completion(self, completion_us: float, latency_us: float) -> None:
         """Fold one completed request into the EWMA and the p99 window."""
-        self.ewma_us += alpha * (latency_us - self.ewma_us)
+        self.ewma_us += EWMA_ALPHA * (latency_us - self.ewma_us)
         self.completions.append((completion_us, latency_us))
 
-    def windowed_p99_us(self, now_us: float, window_us: float) -> float:
+    def windowed_p99_us(self, now_us: float) -> float:
         """Nearest-rank p99 of latencies completed in the last window."""
-        while self.completions and self.completions[0][0] < now_us - window_us:
+        horizon = now_us - P99_WINDOW_US
+        while self.completions and self.completions[0][0] < horizon:
             self.completions.popleft()
         if not self.completions:
             return 0.0

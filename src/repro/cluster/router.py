@@ -29,6 +29,10 @@ from ..errors import ServingError
 from .pools import PoolRuntime
 from .workload import ClusterRequest
 
+#: Width of the sliding window the ``"slo"`` policy's weighted-fairness
+#: guard counts admitted requests over (250 ms).
+FAIRNESS_WINDOW_US = 250_000.0
+
 
 class Router:
     """Stateful pool selector for one cluster run."""
@@ -37,7 +41,6 @@ class Router:
         self.policy = cluster.router_policy
         self.pools = pools
         self._rr_next = 0
-        self._fairness_window_us = cluster.fairness_window_us
         self._weights = {t.name: t.weight for t in cluster.tenants}
         self._total_weight = sum(self._weights.values())
         # Sliding window of (admit_time, tenant) used by the fairness
@@ -51,7 +54,7 @@ class Router:
         return [p for p in self.pools if p.workers.pool_alive]
 
     def _evict_window(self, now_us: float) -> None:
-        horizon = now_us - self._fairness_window_us
+        horizon = now_us - FAIRNESS_WINDOW_US
         while self._admitted and self._admitted[0][0] < horizon:
             _, tenant = self._admitted.popleft()
             self._admitted_by_tenant[tenant] -= 1

@@ -140,8 +140,7 @@ class _ClusterRun(EventKernel):
         self.in_flight -= batch.num_requests
         for request in batch.requests:
             pool.observe_completion(
-                completion_us, completion_us - request.arrival_us,
-                self.cluster.ewma_alpha,
+                completion_us, completion_us - request.arrival_us
             )
             if self.monitor is not None:
                 self.monitor.observe(

@@ -211,8 +211,6 @@ class AcceleratorConfig(_Config):
         seq_len: SA row count ``s`` (and max sequence length processed).
         sa_cols: SA column count (64, equal to the head dimension).
         clock_mhz: Target clock frequency (paper: 200 MHz).
-        sa_fill_cycles: Cycles to fill the SA input skew at the start of a
-            pass before the first column of products appears.
         sa_drain_cycles: Cycles to drain outputs after the last input column.
         weight_load_cycles: Non-overlapped cycles to load a 64-column weight
             tile into the SA between passes (0 = fully double buffered).
@@ -258,7 +256,6 @@ class AcceleratorConfig(_Config):
     seq_len: int = 64
     sa_cols: int = SA_COLS
     clock_mhz: float = 200.0
-    sa_fill_cycles: int = 64
     sa_drain_cycles: int = 16
     weight_load_cycles: int = 0
     pass_issue_cycles: int = 2
@@ -280,9 +277,9 @@ class AcceleratorConfig(_Config):
         if self.clock_mhz <= 0:
             raise ConfigError("clock_mhz must be positive")
         names = (
-            "sa_fill_cycles", "sa_drain_cycles", "weight_load_cycles",
-            "pass_issue_cycles", "softmax_pipeline_depth",
-            "layernorm_pipeline_depth", "abft_check_cycles",
+            "sa_drain_cycles", "weight_load_cycles", "pass_issue_cycles",
+            "softmax_pipeline_depth", "layernorm_pipeline_depth",
+            "abft_check_cycles",
         )
         for field_name in names:
             if getattr(self, field_name) < 0:
@@ -331,8 +328,6 @@ class MemoryConfig(_Config):
 
     Attributes:
         bandwidth_gbps: Peak link bandwidth in GB/s (``inf`` = free).
-        bus_width_bits: Data-bus width of the link (descriptive; the
-            cycle cost is set by ``bandwidth_gbps * burst_efficiency``).
         burst_efficiency: Fraction of peak bandwidth a real burst
             achieves (row activations, refresh, protocol overhead).
         transfer_latency_cycles: Fixed accelerator-clock cycles per
@@ -354,7 +349,6 @@ class MemoryConfig(_Config):
     """
 
     bandwidth_gbps: float = float("inf")
-    bus_width_bits: int = 64
     burst_efficiency: float = 1.0
     transfer_latency_cycles: int = 0
     double_buffered_prefetch: bool = True
@@ -366,8 +360,6 @@ class MemoryConfig(_Config):
         """Raise :class:`ConfigError` on invalid memory parameters."""
         if self.bandwidth_gbps <= 0:
             raise ConfigError("bandwidth_gbps must be positive")
-        if self.bus_width_bits <= 0 or self.bus_width_bits % 8:
-            raise ConfigError("bus_width_bits must be a positive multiple of 8")
         if not 0.0 < self.burst_efficiency <= 1.0:
             raise ConfigError("burst_efficiency must lie in (0, 1]")
         if self.transfer_latency_cycles < 0:
@@ -716,10 +708,6 @@ class PoolConfig(_Config):
         memory: Off-chip memory system of each FPGA device (``None`` =
             the free-reload accounting); heterogeneity between pools
             typically comes from this and from ``kind``.
-        gpu_kernel_overhead_us: Per-kernel overhead of GPU-pool devices
-            in microseconds (default: the batched/steady-state server
-            setup; raise it toward the paper's 96.5 us to model the
-            eager measurement stack).
         compression: Weight-compression spec the pool's model is served
             with (``None`` = dense weights); FPGA pools price
             compressed passes through :mod:`repro.compress`, GPU pools
@@ -735,7 +723,6 @@ class PoolConfig(_Config):
     clock_mhz: float = 200.0
     abft_protected: bool = False
     memory: Optional[MemoryConfig] = None
-    gpu_kernel_overhead_us: float = 5.0
     compression: Optional[CompressionSpec] = None
 
     def validate(self) -> None:
@@ -764,10 +751,6 @@ class PoolConfig(_Config):
             )
         if self.clock_mhz <= 0:
             raise ConfigError(f"pool {self.name}: clock_mhz must be positive")
-        if self.gpu_kernel_overhead_us <= 0:
-            raise ConfigError(
-                f"pool {self.name}: gpu_kernel_overhead_us must be positive"
-            )
         if self.memory is not None and not isinstance(self.memory, MemoryConfig):
             raise ConfigError(
                 f"pool {self.name}: memory must be a MemoryConfig (or None)"
@@ -809,15 +792,14 @@ class AutoscalerConfig(_Config):
         interval_us: Evaluation period.
         scale_up_queue_depth: Add a replica when a pool's queued
             requests per active device exceed this.
-        scale_up_p99_us: Add a replica when a pool's windowed p99
-            latency exceeds this (``None`` disables the signal).
+        scale_up_p99_us: Add a replica when a pool's p99 latency over
+            the last 200 ms of completions exceeds this (``None``
+            disables the signal).
         scale_down_busy: Drain a replica when a pool's busy fraction
             over the last interval falls below this and its queue is
             empty.
         cooldown_up_us: Minimum time between scale-ups of one pool.
         cooldown_down_us: Minimum time between drains of one pool.
-        p99_window_us: Width of the completed-latency window the p99
-            signal is computed over.
         scale_up_burn_rate: Add a replica when the SLO monitor's worst
             short-window burn rate exceeds this (``None`` disables the
             signal).  Only active when a
@@ -833,7 +815,6 @@ class AutoscalerConfig(_Config):
     scale_down_busy: float = 0.15
     cooldown_up_us: float = 40_000.0
     cooldown_down_us: float = 80_000.0
-    p99_window_us: float = 200_000.0
     scale_up_burn_rate: Optional[float] = None
 
     def validate(self) -> None:
@@ -848,8 +829,6 @@ class AutoscalerConfig(_Config):
             raise ConfigError("scale_down_busy must lie in [0, 1)")
         if self.cooldown_up_us < 0 or self.cooldown_down_us < 0:
             raise ConfigError("cooldowns must be non-negative")
-        if self.p99_window_us <= 0:
-            raise ConfigError("p99_window_us must be positive")
         if (self.scale_up_burn_rate is not None
                 and self.scale_up_burn_rate <= 0):
             raise ConfigError(
@@ -873,18 +852,16 @@ class ClusterConfig(_Config):
         router_policy: How arrivals pick a pool: ``"round_robin"``,
             ``"least_queue"`` (fewest queued requests per active
             device), ``"ewma"`` (lowest exponentially weighted moving
-            average of completed-request latency) or ``"slo"``
-            (deadline-aware: minimize predicted completion among pools
-            that can make the deadline, with weighted-fairness
-            admission shedding under overload).
+            average of completed-request latency, alpha 0.2) or
+            ``"slo"`` (deadline-aware: minimize predicted completion
+            among pools that can make the deadline, with
+            weighted-fairness admission shedding over a 250 ms window
+            under overload).
         autoscaler: The scaling policy (see :class:`AutoscalerConfig`).
         queue_capacity: Per-pool admission-queue bound.
         queue_timeout_us: Per-pool queueing timeout (``inf`` disables).
         max_batch_requests: Dynamic-batching request cap per pool batch.
         max_wait_us: Batch cut-off wait per pool.
-        ewma_alpha: Smoothing factor of the router's latency EWMA.
-        fairness_window_us: Width of the sliding window the router's
-            weighted-fairness admission accounts tenant work over.
         seed: Master RNG seed; tenant streams combine it with their own
             ``seed`` field, so one value pins the whole workload.
     """
@@ -899,8 +876,6 @@ class ClusterConfig(_Config):
     queue_timeout_us: float = float("inf")
     max_batch_requests: int = 8
     max_wait_us: float = 500.0
-    ewma_alpha: float = 0.2
-    fairness_window_us: float = 250_000.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -938,10 +913,6 @@ class ClusterConfig(_Config):
             raise ConfigError("max_batch_requests must be positive")
         if self.max_wait_us < 0:
             raise ConfigError("max_wait_us must be non-negative")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError("ewma_alpha must lie in (0, 1]")
-        if self.fairness_window_us <= 0:
-            raise ConfigError("fairness_window_us must be positive")
 
 
 @dataclass(frozen=True)
@@ -951,11 +922,10 @@ class ServingConfig(_Config):
     Attributes:
         arrival_rate_rps: Mean Poisson request arrival rate (requests/s).
         num_requests: Number of requests to generate for the run.
-        length_dist: Sequence-length distribution of arriving requests:
-            ``"fixed"`` (always ``max_len``) or ``"uniform"`` (integers
-            in ``[min_len, max_len]``).
-        min_len / max_len: Sequence-length bounds in tokens; ``max_len``
-            may not exceed the accelerator's SA row count.
+        min_len / max_len: Sequence-length bounds in tokens; lengths are
+            uniform integers in ``[min_len, max_len]`` (equal bounds fix
+            every length).  ``max_len`` may not exceed the accelerator's
+            SA row count.
         queue_capacity: Admission-queue bound; arrivals beyond it are
             rejected immediately.
         queue_timeout_us: Maximum queueing time before a waiting request
@@ -1000,7 +970,6 @@ class ServingConfig(_Config):
 
     arrival_rate_rps: float = 2000.0
     num_requests: int = 200
-    length_dist: str = "uniform"
     min_len: int = 8
     max_len: int = 64
     queue_capacity: int = 64
@@ -1022,11 +991,6 @@ class ServingConfig(_Config):
             raise ConfigError("arrival_rate_rps must be positive")
         if self.num_requests <= 0:
             raise ConfigError("num_requests must be positive")
-        if self.length_dist not in ("fixed", "uniform"):
-            raise ConfigError(
-                f"length_dist {self.length_dist!r} is not 'fixed' or "
-                "'uniform'"
-            )
         if not 0 < self.min_len <= self.max_len:
             raise ConfigError(
                 f"need 0 < min_len <= max_len, got [{self.min_len}, "
@@ -1083,7 +1047,6 @@ class DecodeConfig(_Config):
             everyone's KV refetch).
         kv_capacity_bytes: On-chip KV budget per device; ``None`` uses
             the Table II BRAM default, ``0`` forces always-refetch.
-        kv_page_tokens: Tokens per KV residency page (one SA pass).
         num_devices: Simulated accelerator count.
         queue_capacity: Pending-stream bound; arrivals beyond it are
             rejected.
@@ -1100,7 +1063,6 @@ class DecodeConfig(_Config):
     policy: str = "decode_priority"
     max_decode_batch: int = 8
     kv_capacity_bytes: Optional[int] = None
-    kv_page_tokens: int = 64
     num_devices: int = 1
     queue_capacity: int = 256
     seed: int = 0
@@ -1133,8 +1095,6 @@ class DecodeConfig(_Config):
             raise ConfigError(
                 "kv_capacity_bytes must be non-negative (or None)"
             )
-        if self.kv_page_tokens <= 0:
-            raise ConfigError("kv_page_tokens must be positive")
         if self.num_devices <= 0:
             raise ConfigError("num_devices must be positive")
         if self.queue_capacity <= 0:

@@ -25,10 +25,11 @@ from ..quant.qmodel import QuantizedTransformer
 from ..transformer.masks import causal_mask, combine_masks, padding_mask
 from .accelerator import TransformerAccelerator
 
+#: Words per cycle through the Weight Memory's read port (one SA row).
+WEIGHT_PORT_WORDS = 64
 
-def mha_reload_cycles(
-    model: ModelConfig, port_width_words: int = 64
-) -> int:
+
+def mha_reload_cycles(model: ModelConfig) -> int:
     """Cycles to stream one MHA ResBlock's weight tiles into memory.
 
     Counts the same words :meth:`AcceleratedStack._reload_cycles_mha`
@@ -37,20 +38,17 @@ def mha_reload_cycles(
     simulator) can account reloads without building a quantized model.
     """
     words = 3 * model.d_model * model.d_model + model.d_model ** 2
-    return -(-words // port_width_words)
+    return -(-words // WEIGHT_PORT_WORDS)
 
 
-def ffn_reload_cycles(
-    model: ModelConfig, port_width_words: int = 64
-) -> int:
+def ffn_reload_cycles(model: ModelConfig) -> int:
     """Cycles to stream one FFN ResBlock's ``W_1``/``W_2`` tiles."""
     words = 2 * model.d_model * model.d_ff
-    return -(-words // port_width_words)
+    return -(-words // WEIGHT_PORT_WORDS)
 
 
 def model_reload_cycles(
     model: ModelConfig,
-    port_width_words: int = 64,
     double_buffered: bool = False,
     mha_compute_cycles: int = 0,
     ffn_compute_cycles: int = 0,
@@ -63,8 +61,8 @@ def model_reload_cycles(
     remainder is exposed, mirroring :class:`StackReport.add_reload`.
     """
     reloads = {
-        "mha": mha_reload_cycles(model, port_width_words),
-        "ffn": ffn_reload_cycles(model, port_width_words),
+        "mha": mha_reload_cycles(model),
+        "ffn": ffn_reload_cycles(model),
     }
     compute = {"mha": mha_compute_cycles, "ffn": ffn_compute_cycles}
     blocks = (

@@ -83,7 +83,6 @@ class KVCacheModel:
             default, ``0`` selects always-refetch mode.
         mem: Off-chip link pricing misses; ``None``/unlimited makes
             refetch free while still tracking residency.
-        page_tokens: Tokens per page (default one 64-row SA pass).
     """
 
     def __init__(
@@ -92,10 +91,8 @@ class KVCacheModel:
         acc: AcceleratorConfig,
         capacity_bytes: Optional[int] = None,
         mem: Optional[MemoryConfig] = None,
-        page_tokens: int = DEFAULT_PAGE_TOKENS,
     ) -> None:
-        if page_tokens <= 0:
-            raise MemoryModelError("page_tokens must be positive")
+        self.page_bytes = DEFAULT_PAGE_TOKENS * kv_bytes_per_token(model, acc)
         if capacity_bytes is None:
             capacity_bytes = default_kv_cache_bytes(model, acc)
         if capacity_bytes < 0:
@@ -104,8 +101,6 @@ class KVCacheModel:
         self.acc = acc
         self.mem = mem
         self.capacity_bytes = int(capacity_bytes)
-        self.page_tokens = page_tokens
-        self.page_bytes = page_tokens * kv_bytes_per_token(model, acc)
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -137,7 +132,7 @@ class KVCacheModel:
         """On-chip bytes of one layer's full K/V set at ``context_len``."""
         if context_len <= 0:
             raise MemoryModelError("context_len must be positive")
-        pages = -(-context_len // self.page_tokens)
+        pages = -(-context_len // DEFAULT_PAGE_TOKENS)
         return pages * self.page_bytes
 
     def _refetch_cycles(self, missed_bytes: int) -> int:
@@ -157,7 +152,7 @@ class KVCacheModel:
             )
         if context_len <= 0:
             raise MemoryModelError("context_len must be positive")
-        return -(-context_len // self.page_tokens)
+        return -(-context_len // DEFAULT_PAGE_TOKENS)
 
     def _touch(self, stream: int, layer: int, kind: str, pages: int) -> int:
         """Access pages ``0..pages-1`` oldest-first; return the hits."""

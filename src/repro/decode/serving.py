@@ -409,12 +409,7 @@ def simulate_decode(
     if any(s.decode_tokens < 0 for s in workload):
         raise ServingError("decode streams need decode_tokens >= 0")
     cost = _CostModel(model, acc, decode)
-    kv = KVCacheModel(
-        model, acc,
-        capacity_bytes=decode.kv_capacity_bytes,
-        mem=decode.memory,
-        page_tokens=decode.kv_page_tokens,
-    )
+    kv = KVCacheModel(model, acc, decode.kv_capacity_bytes, decode.memory)
     arrivals = sorted(workload, key=lambda s: s.arrival_us)
     run = _DecodeRun(arrivals, decode, cost, kv)
     makespan_us = run.run()

@@ -28,32 +28,28 @@ def contenders_per_channel(num_requesters: int, channels: int) -> int:
 def lpddr4_2133() -> MemoryConfig:
     """One 32-bit LPDDR4-2133 channel (embedded target)."""
     return MemoryConfig(
-        bandwidth_gbps=8.5, bus_width_bits=32,
-        burst_efficiency=0.75, transfer_latency_cycles=28,
+        bandwidth_gbps=8.5, burst_efficiency=0.75, transfer_latency_cycles=28,
     )
 
 
 def ddr4_2400() -> MemoryConfig:
     """One 64-bit DDR4-2400 channel (the FPGA-card baseline)."""
     return MemoryConfig(
-        bandwidth_gbps=19.2, bus_width_bits=64,
-        burst_efficiency=0.8, transfer_latency_cycles=24,
+        bandwidth_gbps=19.2, burst_efficiency=0.8, transfer_latency_cycles=24,
     )
 
 
 def ddr4_3200() -> MemoryConfig:
     """One 64-bit DDR4-3200 channel."""
     return MemoryConfig(
-        bandwidth_gbps=25.6, bus_width_bits=64,
-        burst_efficiency=0.8, transfer_latency_cycles=24,
+        bandwidth_gbps=25.6, burst_efficiency=0.8, transfer_latency_cycles=24,
     )
 
 
 def hbm2_pc() -> MemoryConfig:
     """One HBM2 pseudo-channel (64-bit at 2 Gb/s/pin)."""
     return MemoryConfig(
-        bandwidth_gbps=16.0, bus_width_bits=64,
-        burst_efficiency=0.9, transfer_latency_cycles=16,
+        bandwidth_gbps=16.0, burst_efficiency=0.9, transfer_latency_cycles=16,
     )
 
 

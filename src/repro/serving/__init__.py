@@ -23,7 +23,6 @@ from .simulator import RequestRecord, ServingResult, simulate_serving
 from .workload import (
     Request,
     poisson_workload,
-    sample_lengths,
     trace_workload,
     validate_workload,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "compute_metrics",
     "percentile",
     "poisson_workload",
-    "sample_lengths",
     "simulate_serving",
     "trace_workload",
     "validate_workload",

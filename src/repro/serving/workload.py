@@ -3,7 +3,7 @@
 Two sources of traffic:
 
 * :func:`poisson_workload` — memoryless arrivals at a configured mean
-  rate with sequence lengths drawn from the configured distribution,
+  rate with sequence lengths uniform in ``[min_len, max_len]``,
   fully determined by ``ServingConfig.seed``;
 * :func:`trace_workload` — replay of an explicit ``(arrival_us,
   seq_len)`` trace, for feeding measured traffic or hand-built
@@ -40,15 +40,6 @@ class Request:
     seq_len: int
 
 
-def sample_lengths(
-    rng: np.random.Generator, n: int, serving: ServingConfig
-) -> np.ndarray:
-    """Draw ``n`` sequence lengths from the configured distribution."""
-    if serving.length_dist == "fixed":
-        return np.full(n, serving.max_len, dtype=np.int64)
-    return rng.integers(serving.min_len, serving.max_len + 1, size=n)
-
-
 def poisson_workload(serving: ServingConfig) -> list[Request]:
     """Generate a seeded Poisson arrival process.
 
@@ -60,7 +51,7 @@ def poisson_workload(serving: ServingConfig) -> list[Request]:
     n = serving.num_requests
     gaps = rng.exponential(1e6 / serving.arrival_rate_rps, size=n)
     arrivals = np.cumsum(gaps)
-    lengths = sample_lengths(rng, n, serving)
+    lengths = rng.integers(serving.min_len, serving.max_len + 1, size=n)
     return [
         Request(req_id=i, arrival_us=float(arrivals[i]),
                 seq_len=int(lengths[i]))

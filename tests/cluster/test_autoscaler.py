@@ -95,7 +95,7 @@ class TestScaleUp:
         pool = _pool_runtime(model, cfg)
         scaler = Autoscaler(cfg, [pool])
         for _ in range(10):
-            pool.observe_completion(900.0, 500.0, alpha=0.2)
+            pool.observe_completion(900.0, 500.0)
         actions = scaler.evaluate(1_000.0)
         assert [a.reason for a in actions] == ["p99"]
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterRequest, PoolRuntime, Router
+from repro.cluster.pools import EWMA_ALPHA
+from repro.cluster.router import FAIRNESS_WINDOW_US
 from repro.config import (
     ClusterConfig,
     PoolConfig,
@@ -116,13 +118,19 @@ class TestEwma:
         assert router.route(_req(), 0.0) is fastest
 
     def test_completions_move_the_needle(self, model):
-        cluster = _cluster("ewma", ewma_alpha=0.9)
+        cluster = _cluster("ewma")
         pools = _pools(cluster, model)
         router = Router(cluster, pools)
         gpu = pools[2]
         slow = 100 * max(p.run_us for p in pools)
         for _ in range(20):
-            gpu.observe_completion(0.0, slow, cluster.ewma_alpha)
+            gpu.observe_completion(0.0, slow)
+        # 20 slow completions at alpha 0.2 close all but 0.8**20 of the
+        # gap between the seeded EWMA and the slow latency.
+        assert EWMA_ALPHA == 0.2
+        assert gpu.ewma_us == pytest.approx(
+            slow + (gpu.run_us - slow) * 0.8 ** 20
+        )
         assert router.route(_req(), 0.0).name == "fpga-x"
 
 
@@ -179,16 +187,23 @@ class TestSloPolicy:
         assert router.shed == 1
 
     def test_fairness_window_slides(self, model):
-        cluster = _cluster("slo", fairness_window_us=1_000.0)
+        cluster = _cluster("slo")
         pools = _pools(cluster, model)
         router = Router(cluster, pools)
         for i in range(6):
             router.route(_req(i, tenant="a"), 0.0)
+        # Inside the 250 ms window tenant a is still over its share.
+        assert FAIRNESS_WINDOW_US == 250_000.0
+        inside = 100_000.0
+        assert router.route(
+            _req(9, tenant="a", arrival=inside, slo_us=1.0), inside
+        ) is None
+        assert router.shed == 1
         # Once the admissions age out of the window, tenant a is no
         # longer over-share and infeasible requests are admitted again.
-        later = 10_000.0
+        later = 1_000_000.0
         choice = router.route(
             _req(10, tenant="a", arrival=later, slo_us=1.0), later
         )
         assert choice is not None
-        assert router.shed == 0
+        assert router.shed == 1

@@ -11,6 +11,7 @@ from repro.decode import (
     default_kv_cache_bytes,
     kv_bytes_per_token,
 )
+from repro.decode.kvcache import DEFAULT_PAGE_TOKENS
 from repro.errors import MemoryModelError
 from repro.memsys import WeightCache
 
@@ -22,10 +23,16 @@ def base_model() -> ModelConfig:
     )
 
 
-def make_cache(capacity_bytes=None, mem=None, page_tokens=64):
+def cache_page_bytes() -> int:
+    return DEFAULT_PAGE_TOKENS * kv_bytes_per_token(
+        base_model(), AcceleratorConfig()
+    )
+
+
+def make_cache(capacity_bytes=None, mem=None):
     return KVCacheModel(
         base_model(), AcceleratorConfig(), capacity_bytes=capacity_bytes,
-        mem=mem, page_tokens=page_tokens,
+        mem=mem,
     )
 
 
@@ -100,12 +107,11 @@ class TestConservation:
         assert cache.hits + cache.misses == cache.lookups == total_pages
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 512), st.integers(1, 128))
-    def test_layer_set_bytes_matches_page_math(self, context, page_tokens):
-        cache = make_cache(page_tokens=page_tokens)
-        pages = -(-context // page_tokens)
-        assert cache.layer_set_bytes(context) == pages * page_tokens * \
-            kv_bytes_per_token(base_model(), AcceleratorConfig())
+    @given(st.integers(1, 512))
+    def test_layer_set_bytes_matches_page_math(self, context):
+        cache = make_cache()
+        pages = -(-context // DEFAULT_PAGE_TOKENS)
+        assert cache.layer_set_bytes(context) == pages * cache_page_bytes()
 
 
 class TestStreamLifecycle:
@@ -150,10 +156,11 @@ class _ReferenceKVCache:
     ``s{stream}.`` prefix.  Slow, but plainly correct.
     """
 
-    def __init__(self, model, acc, capacity_bytes, mem, page_tokens=64):
+    page_tokens = 64
+
+    def __init__(self, model, acc, capacity_bytes, mem):
         self.acc, self.mem = acc, mem
-        self.page_tokens = page_tokens
-        self.page_bytes = page_tokens * kv_bytes_per_token(model, acc)
+        self.page_bytes = self.page_tokens * kv_bytes_per_token(model, acc)
         self.hits = self.misses = 0
         self.lru = WeightCache(capacity_bytes) if capacity_bytes else None
 

@@ -54,7 +54,6 @@ class TestTransferCycles:
             dict(burst_efficiency=0.0),
             dict(burst_efficiency=1.5),
             dict(transfer_latency_cycles=-1),
-            dict(bus_width_bits=0),
             dict(shared_channels=0),
             dict(weight_cache_kib=-2.0),
         ):

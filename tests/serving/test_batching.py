@@ -127,7 +127,7 @@ class TestServingConfigValidation:
     @pytest.mark.parametrize("overrides", [
         {"arrival_rate_rps": 0.0},
         {"num_requests": 0},
-        {"length_dist": "zipf"},
+        {"max_retries": -1},
         {"min_len": 0},
         {"min_len": 20, "max_len": 10},
         {"queue_capacity": 0},

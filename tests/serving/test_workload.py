@@ -1,5 +1,8 @@
 """Workload generator tests: determinism, statistics, trace replay."""
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
 from repro.config import ServingConfig
@@ -41,11 +44,17 @@ class TestPoissonWorkload:
         assert len(set(lengths)) > 1          # actually varies
 
     def test_fixed_distribution(self):
-        serving = ServingConfig(
-            length_dist="fixed", min_len=8, max_len=48, num_requests=20
-        )
-        assert all(
-            r.seq_len == 48 for r in poisson_workload(serving)
+        # Equal bounds fix every length; the request list is the one the
+        # former ``length_dist="fixed"`` run drew at min_len=8, max_len=48.
+        serving = ServingConfig(min_len=48, max_len=48, num_requests=20)
+        requests = poisson_workload(serving)
+        assert all(r.seq_len == 48 for r in requests)
+        assert requests[0].arrival_us == 339.96595198445476
+        digest = hashlib.sha256(
+            repr([astuple(r) for r in requests]).encode()
+        ).hexdigest()
+        assert digest == (
+            "dacc4ddd9e9541268723152853e2226be03e0a761b33c975de4e318dbc6277c7"
         )
 
 
