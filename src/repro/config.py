@@ -1047,6 +1047,10 @@ class DecodeConfig(_Config):
             everyone's KV refetch).
         kv_capacity_bytes: On-chip KV budget per device; ``None`` uses
             the Table II BRAM default, ``0`` forces always-refetch.
+            K/V residency is tracked in pages of 64 tokens (one SA
+            pass), so any other capacity must hold at least one page
+            (65,536 bytes for Transformer-base); a smaller one is
+            refused when the simulation builds its cache.
         num_devices: Simulated accelerator count.
         queue_capacity: Pending-stream bound; arrivals beyond it are
             rejected.

@@ -15,7 +15,10 @@ rows) with the LRU machinery of
 attention).  Each stream keeps the set of keys it inserted, so freeing
 a finished stream touches only its own pages.  A zero-capacity cache is
 the always-refetch mode: every lookup misses in full and nothing is
-retained — the upper bound a host-DRAM-resident KV cache would pay.
+retained — the upper bound a host-DRAM-resident KV cache would pay.  Any
+other capacity must hold at least one page; a smaller one would retain
+nothing just the same, so it is refused rather than run as a silent
+always-refetch.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class KVCacheModel:
     Args:
         model / acc: Shapes and word widths (page size in bytes).
         capacity_bytes: On-chip budget; ``None`` uses the Table II
-            default, ``0`` selects always-refetch mode.
+            default, ``0`` selects always-refetch mode, and any other
+            value must be at least one page.
         mem: Off-chip link pricing misses; ``None``/unlimited makes
             refetch free while still tracking residency.
     """
@@ -97,6 +101,12 @@ class KVCacheModel:
             capacity_bytes = default_kv_cache_bytes(model, acc)
         if capacity_bytes < 0:
             raise MemoryModelError("capacity_bytes must be non-negative")
+        if 0 < capacity_bytes < self.page_bytes:
+            raise MemoryModelError(
+                f"capacity_bytes={capacity_bytes} holds no "
+                f"{DEFAULT_PAGE_TOKENS}-token K/V page of "
+                f"{self.page_bytes} bytes; use 0 to select always-refetch"
+            )
         self.model = model
         self.acc = acc
         self.mem = mem

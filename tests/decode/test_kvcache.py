@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import AcceleratorConfig, MemoryConfig, ModelConfig
+from repro.config import (
+    AcceleratorConfig,
+    DecodeConfig,
+    MemoryConfig,
+    ModelConfig,
+    transformer_base,
+)
 from repro.decode import (
     KVCacheModel,
     KVLookup,
     default_kv_cache_bytes,
     kv_bytes_per_token,
+    simulate_decode,
 )
 from repro.decode.kvcache import DEFAULT_PAGE_TOKENS
 from repro.errors import MemoryModelError
@@ -75,6 +82,24 @@ class TestCapacityEdges:
     def test_negative_capacity_rejected(self):
         with pytest.raises(MemoryModelError):
             make_cache(capacity_bytes=-1)
+
+    @pytest.mark.parametrize("capacity", [1, 40_000, 65_535])
+    def test_capacity_below_one_page_rejected(self, capacity):
+        # A page is 64 tokens x 1,024 K/V bytes = 65,536 bytes; a cache
+        # that cannot hold one would silently retain nothing.
+        with pytest.raises(MemoryModelError, match="65536 bytes") as info:
+            make_cache(capacity_bytes=capacity)
+        assert "use 0 to select always-refetch" in str(info.value)
+
+    def test_capacity_of_exactly_one_page(self):
+        cache = make_cache(capacity_bytes=cache_page_bytes())
+        cache.lookup(stream=0, layer=0, context_len=64)
+        assert cache.lookup(stream=0, layer=0, context_len=64).hits == 1
+
+    def test_simulation_refuses_a_sub_page_capacity(self):
+        decode = DecodeConfig(num_streams=2, kv_capacity_bytes=40_000)
+        with pytest.raises(MemoryModelError, match="always-refetch"):
+            simulate_decode(transformer_base(), AcceleratorConfig(), decode)
 
     def test_default_capacity_holds_a_working_set(self):
         cache = make_cache()  # Table II BRAM budget (~2 MiB at base)
