@@ -814,25 +814,28 @@ def _cmd_memsys(args) -> None:
           f"double buffering")
 
 
-def _serving_memory(args):
-    """Fold the serve-sim memory flags into a MemoryConfig (or None)."""
+def _memory(args):
+    """Fold a command's memory flags into a MemoryConfig (or None).
+
+    Reads whichever of ``--memory-preset``, ``--bandwidth-gbps``,
+    ``--weight-cache-kib`` and ``--no-weight-cache`` the command takes;
+    with none of them given the command runs without a memory system.
+    """
     from .config import MemoryConfig
     from .memsys import memory_preset
 
-    if (args.memory_preset is None and args.bandwidth_gbps is None
-            and args.weight_cache_kib is None
-            and not args.no_weight_cache):
-        return None
-    mem = (memory_preset(args.memory_preset)
-           if args.memory_preset is not None else MemoryConfig())
+    name = getattr(args, "memory_preset", None)
     updates = {}
     if args.bandwidth_gbps is not None:
         updates["bandwidth_gbps"] = args.bandwidth_gbps
-    if args.weight_cache_kib is not None:
+    if getattr(args, "weight_cache_kib", None) is not None:
         updates["weight_cache_kib"] = args.weight_cache_kib
-    if args.no_weight_cache:
+    if getattr(args, "no_weight_cache", False):
         updates["enable_weight_cache"] = False
-    return mem.with_updates(**updates) if updates else mem
+    if name is None and not updates:
+        return None
+    mem = memory_preset(name) if name is not None else MemoryConfig()
+    return mem.with_updates(**updates)
 
 
 def _cmd_serve_sim(args) -> None:
@@ -859,7 +862,7 @@ def _cmd_serve_sim(args) -> None:
         device_failure_rate=args.device_failure_rate,
         max_retries=args.max_retries,
         seed=args.seed,
-        memory=_serving_memory(args),
+        memory=_memory(args),
     )
     result = simulate_serving(model, acc, serving)
     print(render_table(
@@ -975,18 +978,11 @@ def _cmd_cluster_sim(args) -> None:
 
 
 def _cmd_decode_sim(args) -> None:
-    from .config import DecodeConfig, MemoryConfig
+    from .config import DecodeConfig
     from .decode import simulate_decode
-    from .memsys import memory_preset
     from .telemetry import MetricsRegistry, write_json
 
     model, acc = _configs(args)
-    mem = None
-    if args.memory_preset is not None or args.bandwidth_gbps is not None:
-        mem = (memory_preset(args.memory_preset)
-               if args.memory_preset is not None else MemoryConfig())
-        if args.bandwidth_gbps is not None:
-            mem = mem.with_updates(bandwidth_gbps=args.bandwidth_gbps)
     decode = DecodeConfig(
         arrival_rate_rps=args.rate,
         num_streams=args.streams,
@@ -1003,7 +999,7 @@ def _cmd_decode_sim(args) -> None:
         num_devices=args.devices,
         queue_capacity=args.queue_capacity,
         seed=args.seed,
-        memory=mem,
+        memory=_memory(args),
     )
     registry = MetricsRegistry()
     result = simulate_decode(model, acc, decode, registry=registry)
@@ -1119,7 +1115,6 @@ def _cmd_fault_campaign(args) -> None:
 
 
 def _cmd_profile(args) -> int:
-    from .config import MemoryConfig
     from .core.cycle_model import (
         DENSE,
         ffn_cycle_breakdown,
@@ -1141,10 +1136,7 @@ def _cmd_profile(args) -> int:
         acc = AcceleratorConfig(
             seq_len=args.seq_len, clock_mhz=args.clock_mhz
         )
-    mem = (
-        MemoryConfig(bandwidth_gbps=args.bandwidth_gbps)
-        if args.bandwidth_gbps is not None else None
-    )
+    mem = _memory(args)
     registry = MetricsRegistry()
     blocks = ("mha", "ffn") if args.block == "both" else (args.block,)
     schedulers = {"mha": schedule_mha, "ffn": schedule_ffn}
@@ -1243,18 +1235,12 @@ def _parse_compression(text: str):
 
 def _cmd_compress(args) -> None:
     from .compress import compress_trace_spans, compression_sweep
-    from .config import MemoryConfig, ServingConfig
+    from .config import ServingConfig
     from .core.trace import write_span_trace
-    from .memsys import memory_preset
     from .telemetry import MetricsRegistry
 
     model, acc = _configs(args)
-    mem = None
-    if args.memory_preset is not None or args.bandwidth_gbps is not None:
-        mem = (memory_preset(args.memory_preset)
-               if args.memory_preset is not None else MemoryConfig())
-        if args.bandwidth_gbps is not None:
-            mem = mem.with_updates(bandwidth_gbps=args.bandwidth_gbps)
+    mem = _memory(args)
     specs = (None if args.specs is None
              else [_parse_compression(s) for s in args.specs])
     nmt = None
