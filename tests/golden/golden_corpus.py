@@ -1,4 +1,4 @@
-"""The output-equivalence corpus: ten simulator runs and their digests.
+"""The output-equivalence corpus: twelve simulator runs and their digests.
 
 Each run is one seeded simulation made with a metrics registry and a
 sampled :class:`~repro.obs.TraceCollector` attached.  Its outputs are
@@ -29,6 +29,7 @@ from repro.cluster import pinned_cluster, simulate_cluster
 from repro.cluster.scenario import bursty_obs_cluster
 from repro.config import (
     AutoscalerConfig,
+    ClusterConfig,
     DecodeConfig,
     ServingConfig,
     circulant_spec,
@@ -80,6 +81,20 @@ def _cluster(config, monitored: bool = False) -> Callable:
     return run
 
 
+def _with_autoscaler(config: ClusterConfig, **changes) -> ClusterConfig:
+    return config.with_updates(
+        autoscaler=config.autoscaler.with_updates(**changes)
+    )
+
+
+def _squeezed(config: ClusterConfig, rate: float,
+              slo: float) -> ClusterConfig:
+    return config.with_updates(tenants=tuple(
+        t.with_updates(rate_rps=t.rate_rps * rate, slo_us=t.slo_us * slo)
+        for t in config.tenants
+    ))
+
+
 def _decode(config: DecodeConfig) -> Callable:
     def run(registry, tracer):
         result = simulate_decode(
@@ -120,6 +135,18 @@ def runs(seed: int) -> dict[str, Callable]:
             requests_per_tenant=120, router_policy="round_robin",
             seed=seed,
         ).with_updates(autoscaler=AutoscalerConfig(enabled=False))),
+        # The ewma router and the autoscaler's p99 signal.
+        "cluster-ewma-p99": _cluster(_with_autoscaler(
+            pinned_cluster(requests_per_tenant=120, router_policy="ewma",
+                           seed=seed),
+            scale_up_queue_depth=50.0, scale_up_p99_us=12_000.0,
+        )),
+        # Three times the pinned traffic against 0.3x the SLOs: the slo
+        # router sheds over-share tenants.
+        "cluster-slo-shedding": _cluster(_squeezed(
+            pinned_cluster(requests_per_tenant=120, seed=seed),
+            rate=3.0, slo=0.3,
+        )),
         "cluster-bursty-monitored": _cluster(
             bursty_obs_cluster(requests_per_tenant=200, seed=seed),
             monitored=True,
