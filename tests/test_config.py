@@ -1,11 +1,24 @@
-"""Configuration tests: Table I presets and accelerator parameters."""
+"""Configuration tests: Table I presets, accelerator parameters, the base."""
+
+import ast
+import dataclasses
+import pathlib
 
 import pytest
 
+import repro.config as config_module
 from repro.config import (
     AcceleratorConfig,
+    AutoscalerConfig,
+    ClusterConfig,
+    CompressionSpec,
+    DecodeConfig,
+    MemoryConfig,
     ModelConfig,
+    PoolConfig,
+    ServingConfig,
     TABLE1_PRESETS,
+    TenantConfig,
     bert_base,
     bert_large,
     paper_accelerator,
@@ -123,3 +136,83 @@ class TestAcceleratorConfig:
         acc = paper_accelerator()
         with pytest.raises(ConfigError):
             acc.with_updates(layernorm_mode="nope")
+
+
+#: Every frozen config class, built at a valid point.
+CONFIGS = [
+    transformer_base(),
+    AcceleratorConfig(),
+    MemoryConfig(),
+    CompressionSpec(),
+    TenantConfig(name="t"),
+    PoolConfig(name="p"),
+    AutoscalerConfig(),
+    ClusterConfig(pools=(PoolConfig(name="p"),),
+                  tenants=(TenantConfig(name="t"),)),
+    ServingConfig(),
+    DecodeConfig(),
+]
+
+#: One invalid value per config class.
+INVALID = {
+    "ModelConfig": {"dropout": 1.5},
+    "AcceleratorConfig": {"clock_mhz": 0.0},
+    "MemoryConfig": {"bandwidth_gbps": 0.0},
+    "CompressionSpec": {"scheme": "lowrank"},
+    "TenantConfig": {"rate_rps": 0.0},
+    "PoolConfig": {"kind": "tpu"},
+    "AutoscalerConfig": {"interval_us": 0.0},
+    "ClusterConfig": {"router_policy": "random"},
+    "ServingConfig": {"num_requests": 0},
+    "DecodeConfig": {"num_streams": 0},
+}
+
+
+def _config_classes():
+    return [
+        cls for cls in vars(config_module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == config_module.__name__
+    ]
+
+
+class TestConfigBase:
+    def test_every_config_class_is_covered(self):
+        assert sorted(type(c).__name__ for c in CONFIGS) == sorted(INVALID)
+        assert sorted(c.__name__ for c in _config_classes()) == sorted(INVALID)
+
+    @pytest.mark.parametrize("config", CONFIGS,
+                             ids=[type(c).__name__ for c in CONFIGS])
+    def test_with_updates_keeps_the_class_and_revalidates(self, config):
+        name = dataclasses.fields(config)[-1].name
+        copy = config.with_updates(**{name: getattr(config, name)})
+        assert type(copy) is type(config)
+        assert copy == config
+        with pytest.raises(ConfigError):
+            config.with_updates(**INVALID[type(config).__name__])
+
+
+def _attributes_read_outside_config() -> set[str]:
+    """Every ``.name`` attribute read in ``src/repro`` outside config.py."""
+    config_path = pathlib.Path(config_module.__file__)
+    names = set()
+    for path in config_path.parent.rglob("*.py"):
+        if path == config_path:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_config_field_is_read_outside_config():
+    """A field that nothing reads is a knob that turns nothing."""
+    read = _attributes_read_outside_config()
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in _config_classes()
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert not unread, f"config fields nothing reads: {unread}"
