@@ -1,4 +1,4 @@
-"""The output-equivalence corpus: twelve simulator runs and their digests.
+"""The output-equivalence corpus: fourteen simulator runs and their digests.
 
 Each run is one seeded simulation made with a metrics registry and a
 sampled :class:`~repro.obs.TraceCollector` attached.  Its outputs are
@@ -95,6 +95,15 @@ def _squeezed(config: ClusterConfig, rate: float,
     ))
 
 
+def _warm_cache(config: ClusterConfig) -> ClusterConfig:
+    """Give every FPGA pool a weight cache that holds the whole model."""
+    return config.with_updates(pools=tuple(
+        p.with_updates(memory=p.memory.with_updates(weight_cache_kib=45_000))
+        if p.memory is not None else p
+        for p in config.pools
+    ))
+
+
 def _decode(config: DecodeConfig) -> Callable:
     def run(registry, tracer):
         result = simulate_decode(
@@ -128,6 +137,13 @@ def runs(seed: int) -> dict[str, Callable]:
             arrival_rate_rps=400.0, num_requests=400,
             memory=ddr4_2400(), compression=circulant_spec(8), seed=seed,
         )),
+        # A weight cache that holds all 30 ResBlocks: each device misses
+        # its first run only, and device failures leave the rest warm.
+        "serving-warm-cache": _serving(ServingConfig(
+            num_requests=400, num_devices=2,
+            memory=ddr4_2400().with_updates(weight_cache_kib=45_000),
+            device_failure_rate=0.01, seed=seed,
+        )),
         "cluster-slo-autoscaled": _cluster(
             pinned_cluster(requests_per_tenant=120, seed=seed)
         ),
@@ -146,6 +162,10 @@ def runs(seed: int) -> dict[str, Callable]:
         "cluster-slo-shedding": _cluster(_squeezed(
             pinned_cluster(requests_per_tenant=120, seed=seed),
             rate=3.0, slo=0.3,
+        )),
+        # Warm FPGA pools: devices the autoscaler adds join cold.
+        "cluster-warm-cache": _cluster(_warm_cache(
+            pinned_cluster(requests_per_tenant=120, seed=seed)
         )),
         "cluster-bursty-monitored": _cluster(
             bursty_obs_cluster(requests_per_tenant=200, seed=seed),
