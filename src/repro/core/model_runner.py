@@ -14,6 +14,7 @@ host, exactly the paper's scope boundary (Section II-A).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +48,24 @@ def ffn_reload_cycles(model: ModelConfig) -> int:
     return -(-words // WEIGHT_PORT_WORDS)
 
 
+def exposed_reload_cycles(
+    blocks: Iterable[tuple[int, int]], double_buffered: bool
+) -> int:
+    """Exposed cycles of fetching each ResBlock's weights before it runs.
+
+    ``blocks`` holds each block's ``(fetch_cycles, compute_cycles)`` in
+    execution order.  Without double buffering every fetch stalls in
+    full; with it a block's fetch hides behind the *previous* block's
+    compute and only the remainder is exposed.
+    """
+    exposed = 0
+    prev_compute = 0
+    for fetch, compute in blocks:
+        exposed += max(0, fetch - prev_compute) if double_buffered else fetch
+        prev_compute = compute
+    return exposed
+
+
 def model_reload_cycles(
     model: ModelConfig,
     double_buffered: bool = False,
@@ -56,27 +75,16 @@ def model_reload_cycles(
     """Total exposed reload cycles for one full model execution.
 
     Encoder layers hold one MHA + one FFN ResBlock; decoder layers two
-    MHA (self + cross) + one FFN.  With ``double_buffered`` each block's
-    reload hides behind the *previous* block's compute and only the
-    remainder is exposed, mirroring :class:`StackReport.add_reload`.
+    MHA (self + cross) + one FFN, exposed by
+    :func:`exposed_reload_cycles`.
     """
-    reloads = {
-        "mha": mha_reload_cycles(model),
-        "ffn": ffn_reload_cycles(model),
-    }
-    compute = {"mha": mha_compute_cycles, "ffn": ffn_compute_cycles}
+    mha = (mha_reload_cycles(model), mha_compute_cycles)
+    ffn = (ffn_reload_cycles(model), ffn_compute_cycles)
     blocks = (
-        ["mha", "ffn"] * model.num_encoder_layers
-        + ["mha", "mha", "ffn"] * model.num_decoder_layers
+        [mha, ffn] * model.num_encoder_layers
+        + [mha, mha, ffn] * model.num_decoder_layers
     )
-    if not double_buffered:
-        return sum(reloads[kind] for kind in blocks)
-    exposed = 0
-    prev_compute = 0
-    for kind in blocks:
-        exposed += max(0, reloads[kind] - prev_compute)
-        prev_compute = compute[kind]
-    return exposed
+    return exposed_reload_cycles(blocks, double_buffered)
 
 
 @dataclass

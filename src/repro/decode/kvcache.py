@@ -222,9 +222,7 @@ class KVCacheModel:
         pages = self._pages(context_len, kind)
         if self._lru is None:
             return
-        saved = (self._lru.hits, self._lru.misses)
         self._touch(stream, layer, kind, pages)
-        self._lru.hits, self._lru.misses = saved
 
     def evict_stream(self, stream: int) -> None:
         """Drop a finished stream's pages (frees capacity immediately)."""

@@ -1,4 +1,4 @@
-"""Off-chip memory system: bandwidth, weight prefetch, cross-batch cache.
+"""Off-chip memory system: bandwidth, weight prefetch, residency.
 
 The paper's accelerator keeps every weight tile on-chip; this package
 models what it costs to get them there over a DDR/AXI link:
@@ -8,8 +8,9 @@ models what it costs to get them there over a DDR/AXI link:
   efficiency, per-transfer latency, channel sharing);
 * :class:`TilePrefetcher` — double-buffered 64-column weight-tile
   prefetch used by the core scheduler and the analytic cycle model;
-* :class:`WeightCache` — LRU over ResBlock weight sets, sized from the
-  Table II BRAM budget, hit across serving batches;
+* :class:`WeightCache` — LRU over sized blocks, the K/V page cache of
+  decode; :func:`default_weight_cache_bytes` — the Table II BRAM budget
+  that sizes a serving replica's cold-or-warm weight cache;
 * :func:`analyze_memory_system` / :class:`MemorySystemReport` — stall
   shares, the accelerator-side roofline ceiling, and the
   compute/memory-bound crossover bandwidth.

@@ -1,10 +1,13 @@
-"""Cross-batch weight caching (LRU over ResBlock weight sets).
+"""An LRU over sized blocks, and the Table II weight-memory budget.
 
-A serving device that just ran ``enc3.ffn`` still holds that block's
-weights in its on-chip Weight Memory; if the next batch runs the same
-model, those weights need no off-chip traffic.  :class:`WeightCache`
-models that reuse as an LRU over whole ResBlock weight sets, with the
-capacity defaulting to the Table II BRAM budget the paper actually
+:class:`WeightCache` keeps whole blocks (a hashable key and a byte
+size) in LRU order.  The K/V residency model runs one over 64-token
+pages (:mod:`repro.decode.kvcache`): decode traffic is not cyclic, so
+it needs a real LRU.  Serving replicas need none.  Every run touches
+the same ResBlock weight sets in the same order, so a replica's weight
+cache is either cold or warm, and
+:class:`~repro.serving.devices.WorkerPool` prices both states from a
+capacity that defaults to the Table II BRAM budget the paper
 synthesizes (:func:`default_weight_cache_bytes`).
 
 A block larger than the whole cache counts as a miss and is *not*
@@ -41,7 +44,7 @@ def default_weight_cache_bytes(
 
 
 class WeightCache:
-    """LRU cache of ResBlock weight sets, keyed by block name.
+    """LRU cache of sized blocks under a byte capacity.
 
     Any hashable key works: the K/V residency model keys pages by int
     tuples (:mod:`repro.decode.kvcache`).
@@ -54,16 +57,9 @@ class WeightCache:
         if capacity_bytes <= 0:
             raise MemoryModelError("capacity_bytes must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.used_bytes = 0
         self._entries: "OrderedDict[Hashable, int]" = OrderedDict()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -87,9 +83,7 @@ class WeightCache:
             )
         if block in self._entries:
             self._entries.move_to_end(block)
-            self.hits += 1
             return True
-        self.misses += 1
         if num_bytes <= self.capacity_bytes:
             while self.used_bytes + num_bytes > self.capacity_bytes:
                 self.used_bytes -= self._entries.popitem(last=False)[1]

@@ -8,15 +8,22 @@ Two placements over ``N`` simulated devices:
   (the on-chip weight memory only holds one layer, exactly as in
   :class:`~repro.core.model_runner.AcceleratedStack`).  With a
   :class:`~repro.config.MemoryConfig` the flat reload constant is
-  replaced by miss-driven traffic: each device keeps an LRU
-  :class:`~repro.memsys.WeightCache` of ResBlock weight sets across
-  batches, misses fetch over the shared DRAM channels (replicas
-  contend), and double-buffered prefetch hides a block's fetch behind
-  the previous block's compute;
+  replaced by miss-driven traffic: a block missing from the device's
+  weight cache is fetched over the shared DRAM channels (replicas
+  contend) and exposed by
+  :func:`~repro.core.model_runner.exposed_reload_cycles`;
 * ``"layer_shard"`` — the layer stack is split into ``N`` contiguous
   pipeline stages, one per device, with weights resident (no reloads);
   a batch flows through the stages and a new batch may enter stage 0
   as soon as it drains, so throughput is set by the slowest stage.
+
+A replica's weight cache has two states, because every run touches the
+same ResBlock weight sets in the same order: cold (every block misses)
+and warm (every block no larger than the cache hits).  A device is cold
+for its first run and warm after it, but only if those blocks fit in the
+cache together; otherwise an LRU evicts each before it comes round
+again and every run misses.  The pool prices both states once per
+contender count; each device keeps one bit, ``Device.weights_warm``.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig
-from ..errors import ServingError
+from ..core.model_runner import exposed_reload_cycles
+from ..errors import MemoryModelError, ServingError
 from ..memsys.bandwidth import contenders_per_channel
-from ..memsys.cache import WeightCache, default_weight_cache_bytes
+from ..memsys.cache import default_weight_cache_bytes
 from .batching import Batch, BatchCostModel
 
 
@@ -40,6 +48,7 @@ class Device:
     records when it joined, a draining device finishes its in-flight
     batch but accepts no new ones, and a retired device records when
     its drain completed.  Plain serving runs never touch them.
+    ``weights_warm`` is set by its first run under a memory system.
     """
 
     device_id: int
@@ -50,6 +59,7 @@ class Device:
     activated_us: float = 0.0
     draining: bool = False
     retired_us: Optional[float] = None
+    weights_warm: bool = False
 
     def occupy(self, start_us: float, duration_us: float) -> None:
         if not self.alive:
@@ -108,7 +118,7 @@ class WorkerPool:
 
     :meth:`dispatch` occupies devices and returns what the run did as a
     :class:`DispatchOutcome`; the pool keeps only device state (busy
-    time, membership, weight caches), and hit, miss and stall totals
+    time, membership, warm weight caches), and hit, miss and stall totals
     are folds over the logged outcomes.
     """
 
@@ -144,26 +154,15 @@ class WorkerPool:
                 for c in cost_model.stage_cycles(num_devices)
             ]
         # Memory system (replicate only: layer_shard keeps weights
-        # resident).  Replicas contend for the shared DRAM channels and
-        # each keeps its own LRU weight cache across batches.
+        # resident).  Replicas contend for the shared DRAM channels.
         self.mem = mem if placement == "replicate" else None
-        self._caches: Optional[list[WeightCache]] = None
         self._contenders = 1
-        # Per contender count, each ResBlock's ``(name, compute_cycles,
-        # weight_bytes, fetch_cycles)`` in execution order: every fetch
-        # is priced once, not once per miss.
-        self._fetch_tables: dict[int, tuple] = {}
+        # Per contender count, the ``(exposed_cycles, hits, misses)`` of
+        # a cold run and of a warm one: every fetch is priced once.
+        self._reload_tables: dict[int, tuple] = {}
         if self.mem is not None:
+            self._resident = self._warm_residency()
             self._recount_contenders()
-            if self.mem.enable_weight_cache:
-                capacity = (
-                    int(self.mem.weight_cache_kib * 1024)
-                    if self.mem.weight_cache_kib is not None
-                    else default_weight_cache_bytes(cost_model.model, acc)
-                )
-                self._caches = [
-                    WeightCache(capacity) for _ in range(num_devices)
-                ]
 
     @property
     def num_devices(self) -> int:
@@ -199,9 +198,9 @@ class WorkerPool:
         """Grow a ``"replicate"`` pool by one replica (autoscale-up).
 
         The new device joins idle at ``now_us``; with a memory system
-        it starts with a cold weight cache, so its first runs pay the
-        full miss-driven fetch traffic — exactly what a freshly
-        provisioned accelerator would.
+        it starts with a cold weight cache, so its first run pays the
+        full fetch traffic — exactly what a freshly provisioned
+        accelerator would.
         """
         if self.placement != "replicate":
             raise ServingError("only replicate pools can add devices")
@@ -210,8 +209,6 @@ class WorkerPool:
         )
         self.devices.append(device)
         self._active.append(device)
-        if self._caches is not None:
-            self._caches.append(WeightCache(self._caches[0].capacity_bytes))
         self._recount_contenders()
         return device
 
@@ -238,22 +235,59 @@ class WorkerPool:
         self._recount_contenders()
         return device
 
+    def _warm_residency(self) -> tuple[bool, ...]:
+        """Per ResBlock, whether a warm device's cache holds its weights.
+
+        Blocks no larger than the cache stay resident only if they fit
+        in it together; a disabled cache holds nothing.
+        """
+        units = self.cost.block_units
+        if not self.mem.enable_weight_cache:
+            return (False,) * len(units)
+        capacity = (
+            int(self.mem.weight_cache_kib * 1024)
+            if self.mem.weight_cache_kib is not None
+            else default_weight_cache_bytes(self.cost.model, self.acc)
+        )
+        if capacity <= 0:
+            raise MemoryModelError("capacity_bytes must be positive")
+        fits = tuple(nbytes <= capacity for _, _, nbytes in units)
+        cached = sum(nbytes for (_, _, nbytes), fit in zip(units, fits)
+                     if fit)
+        return fits if cached <= capacity else (False,) * len(units)
+
     def _recount_contenders(self) -> None:
-        """Re-derive DRAM-channel contention and its fetch table."""
+        """Re-derive DRAM-channel contention and its reload table."""
         if self.mem is None:
             return
         self._contenders = contenders = contenders_per_channel(
             max(1, len(self._active)), self.mem.shared_channels
         )
-        table = self._fetch_tables.get(contenders)
+        table = self._reload_tables.get(contenders)
         if table is None:
             clock_mhz = self.acc.clock_mhz
-            table = self._fetch_tables[contenders] = tuple(
-                (name, compute, nbytes,
-                 self.mem.transfer_cycles(nbytes, clock_mhz, contenders))
-                for name, compute, nbytes in self.cost.block_units
+            fetches = [
+                (self.mem.transfer_cycles(nbytes, clock_mhz, contenders),
+                 compute)
+                for _, compute, nbytes in self.cost.block_units
+            ]
+            table = self._reload_tables[contenders] = tuple(
+                self._run_reload(fetches, resident)
+                for resident in ((False,) * len(fetches), self._resident)
             )
-        self._fetch_table = table
+        self._reload_table = table
+
+    def _run_reload(self, fetches: list, resident: tuple[bool, ...]
+                    ) -> tuple[int, int, int]:
+        """``(exposed_cycles, hits, misses)`` of a run that hits
+        exactly the ``resident`` blocks."""
+        exposed = exposed_reload_cycles(
+            [(0 if hit else fetch, compute)
+             for (fetch, compute), hit in zip(fetches, resident)],
+            self.mem.double_buffered_prefetch,
+        )
+        hits = sum(resident)
+        return exposed, hits, len(resident) - hits
 
     def fail_device(self, device_id: int, at_us: float) -> None:
         """Fail-stop ``device_id`` at ``at_us`` (no effect if dead)."""
@@ -315,36 +349,17 @@ class WorkerPool:
         )
 
     def _memsys_reload_cycles(self, device_id: int) -> tuple[int, int, int]:
-        """Exposed weight-fetch cycles of one run on ``device_id``.
+        """``(exposed_cycles, hits, misses)`` of one run on ``device_id``.
 
-        Walks the ResBlocks in execution order: each block's weights
-        are either warm in the device's cache (hit, no traffic) or
-        fetched over the shared channel (miss).  With double-buffered
-        prefetch a block's fetch overlaps the *previous* block's
-        compute and only the excess is exposed; without it every fetch
-        serializes in full.  Returns ``(exposed_cycles, hits, misses)``.
+        A device's first run is cold and leaves it warm (see the module
+        docstring); an ABFT retry on it runs warm.
         """
-        mem = self.mem
-        cache = self._caches[device_id] if self._caches is not None else None
-        exposed = 0
-        prev_compute = 0
-        hits = 0
-        misses = 0
-        for name, compute_cycles, weight_bytes, fetch_cycles in (
-            self._fetch_table
-        ):
-            if cache is not None and cache.access(name, weight_bytes):
-                hits += 1
-                fetch = 0
-            else:
-                misses += 1
-                fetch = fetch_cycles
-            if mem.double_buffered_prefetch:
-                exposed += max(0, fetch - prev_compute)
-            else:
-                exposed += fetch
-            prev_compute = compute_cycles
-        return exposed, hits, misses
+        device = self.devices[device_id]
+        cold, warm = self._reload_table
+        if device.weights_warm:
+            return warm
+        device.weights_warm = True
+        return cold
 
     def busy_fraction(self, makespan_us: float) -> float:
         """Pool-wide fraction of device-time spent running batches."""

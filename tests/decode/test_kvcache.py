@@ -219,11 +219,9 @@ class _ReferenceKVCache:
     def populate(self, stream, layer, context_len, kind="self"):
         if self.lru is None:
             return
-        saved = (self.lru.hits, self.lru.misses)
         for page in range(-(-context_len // self.page_tokens)):
             self.lru.access(f"s{stream}.l{layer}.{kind}.p{page}",
                             self.page_bytes)
-        self.lru.hits, self.lru.misses = saved
 
     def evict_stream(self, stream):
         if self.lru is None:
