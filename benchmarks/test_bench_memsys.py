@@ -13,12 +13,14 @@ Two claims the memsys subsystem is built around:
 The timed region is one full memory-system analysis of the paper point.
 A third bench pins how often serving prices a DRAM transfer per
 dispatch: each fixed ResBlock fetch is priced once per contender count,
-so a thrashing cache must not re-price its misses on every run.
+so a thrashing cache must not re-price its misses on every run.  The
+same run makes no ``WeightCache.access`` call: a replica's weight cache
+is cold or warm, priced per pool, not an LRU walked per dispatch.
 """
 
 from repro.analysis import render_table
 from repro.config import MemoryConfig, ServingConfig
-from repro.memsys import analyze_memory_system, ddr4_2400
+from repro.memsys import WeightCache, analyze_memory_system, ddr4_2400
 from repro.serving import simulate_serving
 
 # Transformer-base is ~42 MiB of int8 weights; 44 MiB of cache holds
@@ -120,7 +122,16 @@ def test_bench_memsys_transfer_calls(
         calls += 1
         return transfer_cycles(self, *args)
 
+    lru_accesses = 0
+
+    def no_lru(self, *args):
+        nonlocal lru_accesses
+        lru_accesses += 1
+        return access(self, *args)
+
+    access = WeightCache.access
     monkeypatch.setattr(MemoryConfig, "transfer_cycles", counted)
+    monkeypatch.setattr(WeightCache, "access", no_lru)
     metrics = simulate_serving(
         base_model, paper_acc, _serving(memory=ddr4_2400())
     ).metrics
@@ -130,3 +141,5 @@ def test_bench_memsys_transfer_calls(
     bench_headline("memsys.transfer_calls_per_dispatch", per_dispatch)
     # Pricing is per block and contender count, not per miss.
     assert calls < metrics.weight_cache_misses
+    # No dispatch walks an LRU.
+    assert lru_accesses == 0
