@@ -41,6 +41,9 @@ Commands:
 * ``bench-diff`` — perf-regression gate: compare ``BENCH_*.json``
   headlines against ``benchmarks/baseline.json`` tolerance bands;
   nonzero exit on any regression.
+
+A command that does not use a global flag (``--model``, ``--seq-len``,
+``--clock-mhz``) refuses a value other than its default.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from typing import Optional
 
 from .analysis import deviation_row, render_table
 from .config import AcceleratorConfig, preset
+from .errors import ConfigError
 from .core import (
     PAPER_FFN_CYCLES,
     PAPER_FFN_SPEEDUP,
@@ -66,21 +70,41 @@ from .core.trace import write_trace
 from .gpu_model import ffn_latency_us, mha_latency_us, v100_batch1
 
 
+#: The global flags' defaults; a command that ignores a flag refuses any
+#: other value (:func:`_refuse_ignored`).
+_GLOBAL_DEFAULTS = {
+    "model": "transformer-base", "seq_len": 64, "clock_mhz": 200.0,
+}
+
+
+#: Why the cluster commands ignore ``--clock-mhz``.
+_OWN_CLOCKS = "each pool of the cluster sets its own clock"
+
+
+def _refuse_ignored(args, flags, why: str) -> None:
+    """Raise :class:`ConfigError` if a global flag in ``flags`` that
+    this command ignores was given a value other than its default."""
+    for name in flags:
+        if getattr(args, name) != _GLOBAL_DEFAULTS[name]:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} has no effect on {args.command}: {why}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SOCC 2020 Transformer-accelerator reproduction tools",
     )
     parser.add_argument(
-        "--model", default="transformer-base",
+        "--model", default=_GLOBAL_DEFAULTS["model"],
         help="Table I preset (default: transformer-base)",
     )
     parser.add_argument(
-        "--seq-len", type=int, default=64,
+        "--seq-len", type=int, default=_GLOBAL_DEFAULTS["seq_len"],
         help="systolic-array rows / max sequence length (default: 64)",
     )
     parser.add_argument(
-        "--clock-mhz", type=float, default=200.0,
+        "--clock-mhz", type=float, default=_GLOBAL_DEFAULTS["clock_mhz"],
         help="target clock (default: 200)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -608,6 +632,22 @@ def _configs(args):
     return model, acc
 
 
+def _point_configs(args):
+    """``(model, acc)`` of the ``--point`` that check and profile take.
+
+    ``paper`` fixes every global flag; a preset name replaces
+    ``--model``.
+    """
+    if args.point == "paper":
+        _refuse_ignored(args, _GLOBAL_DEFAULTS,
+                        "--point paper fixes the configuration")
+        return preset("transformer-base"), AcceleratorConfig()
+    _refuse_ignored(args, ("model",), "--point names the preset")
+    return preset(args.point), AcceleratorConfig(
+        seq_len=args.seq_len, clock_mhz=args.clock_mhz
+    )
+
+
 def _cmd_schedule(args) -> None:
     model, acc = _configs(args)
     results = (("MHA", schedule_mha(model, acc)),
@@ -707,6 +747,7 @@ def _cmd_tables(args) -> None:
 def _cmd_selftest(args) -> None:
     from .core.verification import run_selftest, selftest_passed
 
+    _refuse_ignored(args, _GLOBAL_DEFAULTS, "it checks fixed contracts")
     results = run_selftest()
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail]
             for r in results]
@@ -717,21 +758,15 @@ def _cmd_selftest(args) -> None:
 
 
 def _cmd_check(args) -> int:
-    from .errors import ConfigError
     from .statcheck import CheckCache, OverflowPoint, run_check
 
-    if args.point == "paper":
-        point = OverflowPoint()
-    else:
-        model = preset(args.point)
-        acc = AcceleratorConfig(
-            seq_len=args.seq_len, clock_mhz=args.clock_mhz
-        )
-        point = OverflowPoint.from_configs(model, acc)
     cache = None
     if args.changed and not args.seed_bug:
         cache = CheckCache.load(args.cache_file)
     try:
+        model, acc = _point_configs(args)
+        point = (OverflowPoint() if args.point == "paper"
+                 else OverflowPoint.from_configs(model, acc))
         report = run_check(
             point=point,
             sa_acc_bits=args.sa_acc_bits,
@@ -904,6 +939,7 @@ def _cmd_cluster_sim(args) -> None:
     from .cluster import pinned_cluster, simulate_cluster
     from .telemetry import MetricsRegistry, to_json
 
+    _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
     model = preset(args.model)
     cluster = pinned_cluster(
         requests_per_tenant=args.requests_per_tenant,
@@ -1128,14 +1164,7 @@ def _cmd_profile(args) -> int:
         write_json,
     )
 
-    if args.point == "paper":
-        model = preset("transformer-base")
-        acc = AcceleratorConfig()
-    else:
-        model = preset(args.point)
-        acc = AcceleratorConfig(
-            seq_len=args.seq_len, clock_mhz=args.clock_mhz
-        )
+    model, acc = _point_configs(args)
     mem = _memory(args)
     registry = MetricsRegistry()
     blocks = ("mha", "ffn") if args.block == "both" else (args.block,)
@@ -1332,6 +1361,7 @@ def _cmd_bench_diff(args) -> int:
 
     from .telemetry import diff_benchmarks, load_json
 
+    _refuse_ignored(args, _GLOBAL_DEFAULTS, "it compares bench artifacts")
     paths = args.current or sorted(glob.glob("BENCH_*.json"))
     if not paths:
         raise RuntimeError(
@@ -1424,6 +1454,7 @@ def _run_traced(args):
     elif args.requests == "cluster":
         from .cluster import pinned_cluster, simulate_cluster
 
+        _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
         cluster = pinned_cluster(
             requests_per_tenant=args.requests_per_tenant, seed=args.seed
         )
@@ -1477,6 +1508,7 @@ def _cmd_slo_report(args) -> None:
         slo_report_data,
     )
 
+    _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
     model = preset(args.model)
     if args.scenario == "bursty":
         cluster = bursty_obs_cluster(

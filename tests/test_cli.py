@@ -235,3 +235,42 @@ class TestBenchDiffCommand:
         assert main(["bench-diff", "--current", current,
                      "--baseline", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestIgnoredGlobalFlagsRefused:
+    """A global flag a command would silently drop is refused instead."""
+
+    @pytest.mark.parametrize(("argv", "flag"), [
+        (["--seq-len", "128", "--clock-mhz", "100", "profile"],
+         "--seq-len"),
+        (["--clock-mhz", "100", "profile"], "--clock-mhz"),
+        (["--model", "bert-base", "profile", "--point", "transformer-big"],
+         "--model"),
+        (["--clock-mhz", "150", "cluster-sim"], "--clock-mhz"),
+        (["--clock-mhz", "150", "slo-report"], "--clock-mhz"),
+        (["--clock-mhz", "150", "trace", "--requests", "cluster"],
+         "--clock-mhz"),
+        (["--seq-len", "32", "selftest"], "--seq-len"),
+        (["--model", "bert-base", "bench-diff"], "--model"),
+    ])
+    def test_exits_1_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} has no effect on ")
+
+    @pytest.mark.parametrize(("argv", "flag"), [
+        (["--model", "bert-base", "check"], "--model"),
+        (["--seq-len", "32", "check", "--point", "paper"], "--seq-len"),
+        (["--clock-mhz", "100", "check"], "--clock-mhz"),
+        (["--model", "bert-base", "check", "--point", "transformer-big"],
+         "--model"),
+    ])
+    def test_check_exits_2_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} has no effect on check")
+
+    def test_defaults_spelled_out_are_accepted(self, capsys):
+        assert main(["--model", "transformer-base", "--seq-len", "64",
+                     "--clock-mhz", "200", "profile"]) == 0
+        assert "s=64" in capsys.readouterr().out
