@@ -1041,30 +1041,10 @@ def _cmd_decode_sim(args) -> None:
     result = simulate_decode(model, acc, decode, registry=registry)
     m = result.metrics
 
-    def metric_rows(metrics):
-        return [
-            ["streams offered / completed / rejected",
-             f"{metrics.offered} / {metrics.completed} / "
-             f"{metrics.rejected}"],
-            ["decode steps / batches",
-             f"{metrics.decode_steps} / {metrics.decode_batches}"],
-            ["prefill chunks", str(metrics.prefill_chunks)],
-            ["decoded tokens", str(metrics.decoded_tokens)],
-            ["throughput", f"{metrics.tokens_per_s:.1f} tok/s"],
-            ["prefill latency p50 / p99",
-             f"{metrics.prefill_p50_us:.0f} / "
-             f"{metrics.prefill_p99_us:.0f} us"],
-            ["mean inter-token latency",
-             f"{metrics.mean_token_latency_us:.1f} us"],
-            ["KV-cache hit rate", f"{metrics.kv_hit_rate:.1%}"],
-            ["KV refetch cycles", f"{metrics.kv_refetch_cycles:,}"],
-            ["makespan", f"{metrics.makespan_us:.0f} us"],
-        ]
-
     print(render_table(
         f"decode — {model.name}, {args.devices} device(s), "
         f"policy {args.policy}, {args.streams} streams, seed {args.seed}",
-        ["metric", "value"], metric_rows(m),
+        ["metric", "value"], m.as_rows(),
     ))
     if args.compare_policies:
         other_policy = ("prefill_chunk" if args.policy == "decode_priority"

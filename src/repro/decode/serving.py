@@ -105,6 +105,25 @@ class DecodeMetrics:
     kv_refetch_cycles: int
     makespan_us: float
 
+    def as_rows(self) -> list[list[str]]:
+        """Two-column rows for :func:`repro.analysis.render_table`."""
+        return [
+            ["streams offered / completed / rejected",
+             f"{self.offered} / {self.completed} / {self.rejected}"],
+            ["decode steps / batches",
+             f"{self.decode_steps} / {self.decode_batches}"],
+            ["prefill chunks", str(self.prefill_chunks)],
+            ["decoded tokens", str(self.decoded_tokens)],
+            ["throughput", f"{self.tokens_per_s:.1f} tok/s"],
+            ["prefill latency p50 / p99",
+             f"{self.prefill_p50_us:.0f} / {self.prefill_p99_us:.0f} us"],
+            ["mean inter-token latency",
+             f"{self.mean_token_latency_us:.1f} us"],
+            ["KV-cache hit rate", f"{self.kv_hit_rate:.1%}"],
+            ["KV refetch cycles", f"{self.kv_refetch_cycles:,}"],
+            ["makespan", f"{self.makespan_us:.0f} us"],
+        ]
+
 
 @dataclass
 class DecodeResult:

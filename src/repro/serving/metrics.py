@@ -8,10 +8,9 @@ exactly reproducible.
 :func:`compute_metrics` folds one run's own outcomes into a
 :class:`ServingMetrics`.  Given a
 :class:`~repro.telemetry.registry.MetricsRegistry` it also records them
-(:func:`record_serving`) and publishes the run-level ratios as gauges,
-so the numbers the summary reports are exportable as Prometheus text /
-JSON / Chrome counter tracks; the summary never reads the registry
-back.
+(:func:`~repro.telemetry.instrument.record_serving`), so the numbers
+the summary reports are exportable as Prometheus text / JSON / Chrome
+counter tracks; the summary never reads the registry back.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..telemetry.instrument import record_serving
 from ..telemetry.registry import MetricsRegistry, sample_stats
 from ..telemetry.registry import percentile as percentile
 
@@ -130,94 +130,6 @@ class ServingMetrics:
         ]
 
 
-def record_serving(
-    registry: MetricsRegistry,
-    *,
-    latencies_us: Sequence[float],
-    batch_sizes: Sequence[int],
-    batch_tokens: Sequence[int],
-    offered: int,
-    rejected: int,
-    expired: int,
-    depth_samples: Sequence[tuple[float, int]] = (),
-    failed: int = 0,
-    retried: int = 0,
-    corrupted: int = 0,
-    device_failures: int = 0,
-    weight_cache_hits: int = 0,
-    weight_cache_misses: int = 0,
-    reload_stall_cycles: int = 0,
-) -> None:
-    """Record one serving run's raw outcomes into ``registry``.
-
-    Defines the serving metric schema in one place; call once per run
-    (counters accumulate across calls, which is what a registry shared
-    by several runs wants).
-    """
-    registry.counter(
-        "repro_serving_requests_offered_total",
-        "Requests that arrived at the admission queue",
-    ).inc(offered)
-    outcomes = registry.counter(
-        "repro_serving_requests_total",
-        "Requests by final outcome",
-    )
-    completed = len(latencies_us)
-    for outcome, count in (
-        ("completed", completed), ("rejected", rejected),
-        ("expired", expired), ("failed", failed),
-    ):
-        if count:
-            outcomes.inc(count, outcome=outcome)
-    registry.counter(
-        "repro_serving_retries_total",
-        "Batch re-runs triggered by ABFT-detected faults",
-    ).inc(retried)
-    registry.counter(
-        "repro_serving_corrupted_total",
-        "Completed requests whose batch took a silent fault",
-    ).inc(corrupted)
-    registry.counter(
-        "repro_serving_device_failures_total",
-        "Devices that fail-stopped during the run",
-    ).inc(device_failures)
-    registry.counter(
-        "repro_serving_batches_total", "Batches dispatched",
-    ).inc(len(batch_sizes))
-    registry.counter(
-        "repro_serving_batch_requests_total",
-        "Requests summed over dispatched batches",
-    ).inc(sum(batch_sizes))
-    registry.counter(
-        "repro_serving_batch_tokens_total",
-        "Valid tokens summed over dispatched batches",
-    ).inc(sum(batch_tokens))
-    cache = registry.counter(
-        "repro_serving_weight_cache_lookups_total",
-        "ResBlock weight-set lookups by outcome",
-    )
-    if weight_cache_hits:
-        cache.inc(weight_cache_hits, outcome="hit")
-    if weight_cache_misses:
-        cache.inc(weight_cache_misses, outcome="miss")
-    registry.counter(
-        "repro_serving_reload_stall_cycles_total",
-        "Exposed weight-fetch cycles charged across batch runs",
-    ).inc(reload_stall_cycles)
-    latency = registry.histogram(
-        "repro_serving_latency_us",
-        "Arrival-to-completion latency of completed requests (us)",
-    )
-    for value in latencies_us:
-        latency.observe(value)
-    depth = registry.series(
-        "repro_serving_queue_depth",
-        "Admission-queue depth at each change",
-    )
-    for ts_us, value in depth_samples:
-        depth.sample(ts_us, value)
-
-
 def compute_metrics(
     latencies_us: Sequence[float],
     batch_sizes: Sequence[int],
@@ -243,10 +155,10 @@ def compute_metrics(
 ) -> ServingMetrics:
     """Fold one run's raw outcomes into a :class:`ServingMetrics`.
 
-    With a ``registry``, the outcomes are also recorded into it
-    (:func:`record_serving`) and the run-level ratios published back as
-    gauges; nothing is read from it, so a registry shared by several
-    runs holds their union while each summary covers its own run.
+    With a ``registry``, the summary and the raw outcomes are also
+    recorded into it (:func:`~repro.telemetry.instrument.record_serving`);
+    nothing is read from it, so a registry shared by several runs holds
+    their union while each summary covers its own run.
     """
     completed = len(latencies_us)
     # The mean divides the latencies summed in observation order.
@@ -269,35 +181,7 @@ def compute_metrics(
         sa_util = (device_busy_fraction
                    * (ideal_cycles_per_run / run_cycles) * occupancy)
     lookups = weight_cache_hits + weight_cache_misses
-    if registry is not None:
-        record_serving(
-            registry,
-            latencies_us=latencies_us,
-            batch_sizes=batch_sizes,
-            batch_tokens=batch_tokens,
-            offered=offered,
-            rejected=rejected,
-            expired=expired,
-            depth_samples=depth_samples,
-            failed=failed,
-            retried=retried,
-            corrupted=corrupted,
-            device_failures=device_failures,
-            weight_cache_hits=weight_cache_hits,
-            weight_cache_misses=weight_cache_misses,
-            reload_stall_cycles=reload_stall_cycles,
-        )
-        for name, help_text, value in (
-            ("repro_serving_makespan_us", "Run makespan (us)", makespan_us),
-            ("repro_serving_device_busy_fraction",
-             "Busy device-time / total device-time", device_busy_fraction),
-            ("repro_serving_sa_utilization",
-             "Pool-wide useful-MAC utilization", sa_util),
-            ("repro_serving_occupancy",
-             "Valid tokens / (batches x SA rows)", occupancy),
-        ):
-            registry.gauge(name, help_text).set(value)
-    return ServingMetrics(
+    metrics = ServingMetrics(
         offered=offered,
         completed=completed,
         rejected=rejected,
@@ -330,3 +214,10 @@ def compute_metrics(
         ),
         reload_stall_cycles=reload_stall_cycles,
     )
+    if registry is not None:
+        record_serving(
+            registry, metrics=metrics, latencies_us=latencies_us,
+            batch_sizes=batch_sizes, batch_tokens=batch_tokens,
+            depth_samples=depth_samples,
+        )
+    return metrics

@@ -26,6 +26,13 @@ ResBlock, ``unit`` the hardware unit):
   ``..._corrections_total`` / ``..._silent_total`` — fault-campaign
   outcome counters.
 
+Serving schema (:mod:`repro.serving`): ``repro_serving_*`` counters of
+offered requests, final outcomes, retries, silent corruptions, device
+failures, batches, batch requests and tokens, weight-cache lookups by
+outcome and reload stall cycles; the latency histogram and queue-depth
+series; and gauges of the summary's makespan, device busy fraction, SA
+utilization and row occupancy.
+
 Cluster schema (:mod:`repro.cluster`; ``tenant`` is the traffic
 source, ``pool`` the device pool, ``policy`` the router policy):
 
@@ -322,6 +329,99 @@ def record_campaign(result, registry: MetricsRegistry) -> None:
             silent.inc(1, **labels)
 
 
+def record_serving(
+    registry: MetricsRegistry,
+    *,
+    metrics,
+    latencies_us,
+    batch_sizes,
+    batch_tokens,
+    depth_samples=(),
+) -> None:
+    """Record one serving run into ``registry``, summary gauges last.
+
+    ``metrics`` is the run's :class:`~repro.serving.metrics.ServingMetrics`
+    (duck typed); the sequences are its completed latencies, each
+    batch's request and token counts and the ``(time, depth)`` queue
+    samples.  Defines the serving schema in one place, mirroring
+    :func:`record_cluster`; counters accumulate across calls, which is
+    what a registry shared by several runs wants.
+    """
+    registry.counter(
+        "repro_serving_requests_offered_total",
+        "Requests that arrived at the admission queue",
+    ).inc(metrics.offered)
+    outcomes = registry.counter(
+        "repro_serving_requests_total",
+        "Requests by final outcome",
+    )
+    for outcome in ("completed", "rejected", "expired", "failed"):
+        if getattr(metrics, outcome):
+            outcomes.inc(getattr(metrics, outcome), outcome=outcome)
+    registry.counter(
+        "repro_serving_retries_total",
+        "Batch re-runs triggered by ABFT-detected faults",
+    ).inc(metrics.retried)
+    registry.counter(
+        "repro_serving_corrupted_total",
+        "Completed requests whose batch took a silent fault",
+    ).inc(metrics.corrupted)
+    registry.counter(
+        "repro_serving_device_failures_total",
+        "Devices that fail-stopped during the run",
+    ).inc(metrics.device_failures)
+    registry.counter(
+        "repro_serving_batches_total", "Batches dispatched",
+    ).inc(len(batch_sizes))
+    registry.counter(
+        "repro_serving_batch_requests_total",
+        "Requests summed over dispatched batches",
+    ).inc(sum(batch_sizes))
+    registry.counter(
+        "repro_serving_batch_tokens_total",
+        "Valid tokens summed over dispatched batches",
+    ).inc(sum(batch_tokens))
+    cache = registry.counter(
+        "repro_serving_weight_cache_lookups_total",
+        "ResBlock weight-set lookups by outcome",
+    )
+    if metrics.weight_cache_hits:
+        cache.inc(metrics.weight_cache_hits, outcome="hit")
+    if metrics.weight_cache_misses:
+        cache.inc(metrics.weight_cache_misses, outcome="miss")
+    registry.counter(
+        "repro_serving_reload_stall_cycles_total",
+        "Exposed weight-fetch cycles charged across batch runs",
+    ).inc(metrics.reload_stall_cycles)
+    latency = registry.histogram(
+        "repro_serving_latency_us",
+        "Arrival-to-completion latency of completed requests (us)",
+    )
+    for value in latencies_us:
+        latency.observe(value)
+    depth = registry.series(
+        "repro_serving_queue_depth",
+        "Admission-queue depth at each change",
+    )
+    for ts_us, value in depth_samples:
+        depth.sample(ts_us, value)
+    registry.gauge(
+        "repro_serving_makespan_us", "Run makespan (us)",
+    ).set(metrics.makespan_us)
+    registry.gauge(
+        "repro_serving_device_busy_fraction",
+        "Busy device-time / total device-time",
+    ).set(metrics.device_busy_fraction)
+    registry.gauge(
+        "repro_serving_sa_utilization",
+        "Pool-wide useful-MAC utilization",
+    ).set(metrics.sa_utilization)
+    registry.gauge(
+        "repro_serving_occupancy",
+        "Valid tokens / (batches x SA rows)",
+    ).set(metrics.occupancy)
+
+
 def record_decode(
     registry: MetricsRegistry,
     *,
@@ -474,7 +574,7 @@ def record_cluster(
     """Record one cluster run into ``registry``, summary gauges last.
 
     Defines the ``repro_cluster_*`` schema (see the module docstring)
-    in one place, mirroring :func:`repro.serving.metrics.record_serving`.
+    in one place, mirroring :func:`record_serving`.
     ``metrics`` is the run's :class:`~repro.cluster.metrics.ClusterMetrics`
     and ``pools`` its :class:`~repro.cluster.pools.PoolRuntime` pools
     (both duck typed); ``actions`` its ``ScaleAction`` objects;

@@ -14,8 +14,9 @@ from repro.config import (
 from repro.decode import simulate_decode
 from repro.memsys import ddr4_2400
 from repro.serving import simulate_serving
-from repro.serving.metrics import compute_metrics, record_serving
+from repro.serving.metrics import compute_metrics
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.instrument import record_serving
 
 
 @pytest.fixture(scope="module")
@@ -155,12 +156,12 @@ class TestComputeMetricsCompat:
         # Counters are monotonic by design: a registry shared by
         # several runs holds the union of their outcomes.
         reg = MetricsRegistry()
-        args = {k: v for k, v in self.ARGS.items() if k not in (
-            "seq_len", "makespan_us", "device_busy_fraction",
-            "ideal_cycles_per_run", "run_cycles", "num_devices",
+        args = {k: v for k, v in self.ARGS.items() if k in (
+            "latencies_us", "batch_sizes", "batch_tokens", "depth_samples",
         )}
-        record_serving(reg, **args)
-        record_serving(reg, **args)
+        metrics = compute_metrics(**self.ARGS)
+        record_serving(reg, metrics=metrics, **args)
+        record_serving(reg, metrics=metrics, **args)
         assert reg.get(
             "repro_serving_requests_offered_total"
         ).value() == 10

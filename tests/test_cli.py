@@ -1,5 +1,6 @@
 """CLI tests (python -m repro ...)."""
 
+import hashlib
 import json
 
 import pytest
@@ -274,3 +275,15 @@ class TestIgnoredGlobalFlagsRefused:
         assert main(["--model", "transformer-base", "--seq-len", "64",
                      "--clock-mhz", "200", "profile"]) == 0
         assert "s=64" in capsys.readouterr().out
+
+
+class TestDecodeSimOutput:
+    def test_summary_table_is_pinned(self, capsys):
+        # sha256 of the stdout before DecodeMetrics.as_rows() replaced
+        # the command's own row builder.
+        assert main(["decode-sim", "--streams", "24", "--seed", "7",
+                     "--compare-policies"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4331734c30d31efe000ccac1f67afd8253e0f98860a6ffa794c549049ebb473c"
+        )
