@@ -119,20 +119,16 @@ class BatchCostModel:
             (enc,) * model.num_encoder_layers
             + (dec,) * model.num_decoder_layers
         )
-        # Per-ResBlock ``(name, compute_cycles, weight_bytes)`` entries:
-        # the execution-order unit the memory system works at.  Each
-        # ResBlock's weight set is one cache entry and one off-chip
-        # fetch (MHA blocks carry the four ``d_model x d_model``
-        # projections, FFN blocks ``W1`` + ``W2``).
-        blocks: list[tuple[str, int, int]] = []
-        for i in range(model.num_encoder_layers):
-            blocks.append((f"enc{i}.mha", self.mha_cycles, mha_bytes))
-            blocks.append((f"enc{i}.ffn", self.ffn_cycles, ffn_bytes))
-        for i in range(model.num_decoder_layers):
-            blocks.append((f"dec{i}.self", self.mha_cycles, mha_bytes))
-            blocks.append((f"dec{i}.cross", self.mha_cycles, mha_bytes))
-            blocks.append((f"dec{i}.ffn", self.ffn_cycles, ffn_bytes))
-        self.block_units: tuple[tuple[str, int, int], ...] = tuple(blocks)
+        # Per-ResBlock ``(compute_cycles, weight_bytes)`` in execution
+        # order: the unit the memory system works at.  Each ResBlock's
+        # weight set is one off-chip fetch (MHA blocks carry the four
+        # ``d_model x d_model`` projections, FFN blocks ``W1`` + ``W2``).
+        mha = (self.mha_cycles, mha_bytes)
+        ffn = (self.ffn_cycles, ffn_bytes)
+        self.block_units: tuple[tuple[int, int], ...] = (
+            (mha, ffn) * model.num_encoder_layers
+            + (mha, mha, ffn) * model.num_decoder_layers
+        )
         #: Pure compute cycles of one full-model run.
         self.compute_cycles = sum(c for _, c, _ in self.layer_units)
         #: 100%-utilization MAC cycles of one full-model run.

@@ -236,25 +236,22 @@ class WorkerPool:
         return device
 
     def _warm_residency(self) -> tuple[bool, ...]:
-        """Per ResBlock, whether a warm device's cache holds its weights.
-
-        Blocks no larger than the cache stay resident only if they fit
-        in it together; a disabled cache holds nothing.
+        """Per ResBlock, whether a warm device's cache holds its weights:
+        the blocks no larger than the cache, if they fit in it together.
         """
-        units = self.cost.block_units
-        if not self.mem.enable_weight_cache:
-            return (False,) * len(units)
-        capacity = (
-            int(self.mem.weight_cache_kib * 1024)
-            if self.mem.weight_cache_kib is not None
-            else default_weight_cache_bytes(self.cost.model, self.acc)
-        )
-        if capacity <= 0:
-            raise MemoryModelError("capacity_bytes must be positive")
-        fits = tuple(nbytes <= capacity for _, _, nbytes in units)
-        cached = sum(nbytes for (_, _, nbytes), fit in zip(units, fits)
-                     if fit)
-        return fits if cached <= capacity else (False,) * len(units)
+        capacity = 0
+        if self.mem.enable_weight_cache:
+            capacity = (
+                int(self.mem.weight_cache_kib * 1024)
+                if self.mem.weight_cache_kib is not None
+                else default_weight_cache_bytes(self.cost.model, self.acc)
+            )
+            if capacity <= 0:
+                raise MemoryModelError("capacity_bytes must be positive")
+        sizes = [nbytes for _, nbytes in self.cost.block_units]
+        if sum(n for n in sizes if n <= capacity) > capacity:
+            return (False,) * len(sizes)
+        return tuple(n <= capacity for n in sizes)
 
     def _recount_contenders(self) -> None:
         """Re-derive DRAM-channel contention and its reload table."""
@@ -266,28 +263,21 @@ class WorkerPool:
         table = self._reload_tables.get(contenders)
         if table is None:
             clock_mhz = self.acc.clock_mhz
-            fetches = [
+            cold = [
                 (self.mem.transfer_cycles(nbytes, clock_mhz, contenders),
                  compute)
-                for _, compute, nbytes in self.cost.block_units
+                for compute, nbytes in self.cost.block_units
             ]
-            table = self._reload_tables[contenders] = tuple(
-                self._run_reload(fetches, resident)
-                for resident in ((False,) * len(fetches), self._resident)
+            warm = [(0 if hit else fetch, compute)
+                    for (fetch, compute), hit in zip(cold, self._resident)]
+            prefetch = self.mem.double_buffered_prefetch
+            hits = sum(self._resident)
+            table = self._reload_tables[contenders] = (
+                (exposed_reload_cycles(cold, prefetch), 0, len(cold)),
+                (exposed_reload_cycles(warm, prefetch), hits,
+                 len(cold) - hits),
             )
         self._reload_table = table
-
-    def _run_reload(self, fetches: list, resident: tuple[bool, ...]
-                    ) -> tuple[int, int, int]:
-        """``(exposed_cycles, hits, misses)`` of a run that hits
-        exactly the ``resident`` blocks."""
-        exposed = exposed_reload_cycles(
-            [(0 if hit else fetch, compute)
-             for (fetch, compute), hit in zip(fetches, resident)],
-            self.mem.double_buffered_prefetch,
-        )
-        hits = sum(resident)
-        return exposed, hits, len(resident) - hits
 
     def fail_device(self, device_id: int, at_us: float) -> None:
         """Fail-stop ``device_id`` at ``at_us`` (no effect if dead)."""

@@ -46,7 +46,7 @@ class TestBatchCostModel:
         circ_units = BatchCostModel(
             model, acc, compression=circulant_spec(8)).block_units
         assert len(dense_units) == len(circ_units)
-        for (_, _, dense_bytes), (_, _, circ_bytes) in zip(
+        for (_, dense_bytes), (_, circ_bytes) in zip(
                 dense_units, circ_units):
             assert circ_bytes == dense_bytes // 8
 

@@ -59,8 +59,8 @@ def cost_model(model_name, spec_name):
 
 def edge_capacities(cost):
     """Cache sizes in bytes at which the warm state appears or vanishes."""
-    model_bytes = sum(n for _, _, n in cost.block_units)
-    sizes = sorted({n for _, _, n in cost.block_units})
+    model_bytes = sum(n for _, n in cost.block_units)
+    sizes = sorted({n for _, n in cost.block_units})
     return [
         model_bytes - 1, model_bytes, model_bytes + 1,
         DENSE_MODEL_KIB * 1024 - 1, DENSE_MODEL_KIB * 1024,
@@ -99,8 +99,8 @@ class _ReferencePool:
         )
         cache = self.caches[device_id]
         exposed = prev_compute = hits = misses = 0
-        for name, compute, nbytes in pool.cost.block_units:
-            if cache is not None and cache.access(name, nbytes):
+        for block, (compute, nbytes) in enumerate(pool.cost.block_units):
+            if cache is not None and cache.access(block, nbytes):
                 hits += 1
                 fetch = 0
             else:
@@ -116,9 +116,11 @@ class _ReferencePool:
         return pool.cost.compute_cycles + exposed, exposed, hits, misses
 
 
-#: One pool operation; the int picks a device among the active ones.
+#: One pool operation, dispatches drawn twice as often as each other
+#: kind; the int picks a device among the active ones.
 pool_ops = st.lists(
     st.one_of(
+        st.just(("dispatch", 0)),
         st.just(("dispatch", 0)),
         st.just(("add", 0)),
         st.tuples(st.sampled_from(["drain", "fail"]), st.integers(0, 5)),
@@ -194,3 +196,10 @@ class TestTwoStates:
         runs = self._runs(cost, (DENSE_MODEL_KIB * 1024 - 1) / 1024)
         assert all((o.hits, o.misses) == (0, 30) for o in runs)
         assert len({o.reload_cycles for o in runs}) == 1
+
+    def test_a_block_the_exact_size_of_the_cache_stays_warm(self):
+        cost = cost_model("one-layer", "dense")
+        (_, mha_bytes), (_, ffn_bytes) = cost.block_units
+        runs = self._runs(cost, mha_bytes / 1024)
+        assert mha_bytes < ffn_bytes
+        assert [(o.hits, o.misses) for o in runs] == [(0, 2), (1, 1), (1, 1)]
