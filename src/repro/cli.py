@@ -54,7 +54,6 @@ from typing import Optional
 
 from .analysis import deviation_row, render_table
 from .config import AcceleratorConfig, preset
-from .errors import ConfigError
 from .core import (
     PAPER_FFN_CYCLES,
     PAPER_FFN_SPEEDUP,
@@ -67,6 +66,7 @@ from .core import (
     schedule_mha,
 )
 from .core.trace import write_trace
+from .errors import ConfigError
 from .gpu_model import ffn_latency_us, mha_latency_us, v100_batch1
 
 
