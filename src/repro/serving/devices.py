@@ -18,12 +18,10 @@ Two placements over ``N`` simulated devices:
   as soon as it drains, so throughput is set by the slowest stage.
 
 A replica's weight cache has two states, because every run touches the
-same ResBlock weight sets in the same order: cold (every block misses)
-and warm (every block no larger than the cache hits).  A device is cold
-for its first run and warm after it, but only if those blocks fit in the
-cache together; otherwise an LRU evicts each before it comes round
-again and every run misses.  The pool prices both states once per
-contender count; each device keeps one bit, ``Device.weights_warm``.
+same ResBlock weight sets in the same order: cold (every block misses),
+and warm after its first run (every block no larger than the cache hits)
+only if those blocks fit in the cache together.  The pool prices both
+per contender count; each device keeps one bit, ``Device.weights_warm``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig
 from ..core.model_runner import exposed_reload_cycles
-from ..errors import MemoryModelError, ServingError
+from ..errors import ServingError
 from ..memsys.bandwidth import contenders_per_channel
 from ..memsys.cache import default_weight_cache_bytes
 from .batching import Batch, BatchCostModel
@@ -246,8 +244,6 @@ class WorkerPool:
                 if self.mem.weight_cache_kib is not None
                 else default_weight_cache_bytes(self.cost.model, self.acc)
             )
-            if capacity <= 0:
-                raise MemoryModelError("capacity_bytes must be positive")
         sizes = [nbytes for _, nbytes in self.cost.block_units]
         if sum(n for n in sizes if n <= capacity) > capacity:
             return (False,) * len(sizes)
