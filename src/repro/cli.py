@@ -41,9 +41,6 @@ Commands:
 * ``bench-diff`` — perf-regression gate: compare ``BENCH_*.json``
   headlines against ``benchmarks/baseline.json`` tolerance bands;
   nonzero exit on any regression.
-
-A command that does not use a global flag (``--model``, ``--seq-len``,
-``--clock-mhz``) refuses a value other than its default.
 """
 
 from __future__ import annotations
@@ -75,10 +72,6 @@ from .gpu_model import ffn_latency_us, mha_latency_us, v100_batch1
 _GLOBAL_DEFAULTS = {
     "model": "transformer-base", "seq_len": 64, "clock_mhz": 200.0,
 }
-
-
-#: Why the cluster commands ignore ``--clock-mhz``.
-_OWN_CLOCKS = "each pool of the cluster sets its own clock"
 
 
 def _refuse_ignored(args, flags, why: str) -> None:
@@ -633,11 +626,7 @@ def _configs(args):
 
 
 def _point_configs(args):
-    """``(model, acc)`` of the ``--point`` that check and profile take.
-
-    ``paper`` fixes every global flag; a preset name replaces
-    ``--model``.
-    """
+    """``(model, acc)`` of check's and profile's ``--point``."""
     if args.point == "paper":
         _refuse_ignored(args, _GLOBAL_DEFAULTS,
                         "--point paper fixes the configuration")
@@ -939,7 +928,7 @@ def _cmd_cluster_sim(args) -> None:
     from .cluster import pinned_cluster, simulate_cluster
     from .telemetry import MetricsRegistry, to_json
 
-    _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
+    _refuse_ignored(args, ("clock_mhz",), "each pool sets its own clock")
     model = preset(args.model)
     cluster = pinned_cluster(
         requests_per_tenant=args.requests_per_tenant,
@@ -1434,7 +1423,7 @@ def _run_traced(args):
     elif args.requests == "cluster":
         from .cluster import pinned_cluster, simulate_cluster
 
-        _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
+        _refuse_ignored(args, ("clock_mhz",), "each pool sets its own clock")
         cluster = pinned_cluster(
             requests_per_tenant=args.requests_per_tenant, seed=args.seed
         )
@@ -1488,7 +1477,7 @@ def _cmd_slo_report(args) -> None:
         slo_report_data,
     )
 
-    _refuse_ignored(args, ("clock_mhz",), _OWN_CLOCKS)
+    _refuse_ignored(args, ("clock_mhz",), "each pool sets its own clock")
     model = preset(args.model)
     if args.scenario == "bursty":
         cluster = bursty_obs_cluster(

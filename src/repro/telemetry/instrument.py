@@ -26,13 +26,6 @@ ResBlock, ``unit`` the hardware unit):
   ``..._corrections_total`` / ``..._silent_total`` — fault-campaign
   outcome counters.
 
-Serving schema (:mod:`repro.serving`): ``repro_serving_*`` counters of
-offered requests, final outcomes, retries, silent corruptions, device
-failures, batches, batch requests and tokens, weight-cache lookups by
-outcome and reload stall cycles; the latency histogram and queue-depth
-series; and gauges of the summary's makespan, device busy fraction, SA
-utilization and row occupancy.
-
 Cluster schema (:mod:`repro.cluster`; ``tenant`` is the traffic
 source, ``pool`` the device pool, ``policy`` the router policy):
 
@@ -341,11 +334,8 @@ def record_serving(
     """Record one serving run into ``registry``, summary gauges last.
 
     ``metrics`` is the run's :class:`~repro.serving.metrics.ServingMetrics`
-    (duck typed); the sequences are its completed latencies, each
-    batch's request and token counts and the ``(time, depth)`` queue
-    samples.  Defines the serving schema in one place, mirroring
-    :func:`record_cluster`; counters accumulate across calls, which is
-    what a registry shared by several runs wants.
+    (duck typed).  Defines the serving schema in one place, mirroring
+    :func:`record_cluster`; counters accumulate across calls.
     """
     registry.counter(
         "repro_serving_requests_offered_total",
