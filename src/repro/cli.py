@@ -754,6 +754,7 @@ def _cmd_check(args) -> int:
         cache = CheckCache.load(args.cache_file)
     try:
         model, acc = _point_configs(args)
+        _refuse_ignored(args, ("clock_mhz",), "no check reads a clock")
         point = (OverflowPoint() if args.point == "paper"
                  else OverflowPoint.from_configs(model, acc))
         report = run_check(

@@ -263,6 +263,8 @@ class TestIgnoredGlobalFlagsRefused:
         (["--model", "bert-base", "check"], "--model"),
         (["--seq-len", "32", "check", "--point", "paper"], "--seq-len"),
         (["--clock-mhz", "100", "check"], "--clock-mhz"),
+        (["--clock-mhz", "100", "check", "--point", "transformer-big"],
+         "--clock-mhz"),
         (["--model", "bert-base", "check", "--point", "transformer-big"],
          "--model"),
     ])
