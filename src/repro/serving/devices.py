@@ -154,7 +154,6 @@ class WorkerPool:
         # Memory system (replicate only: layer_shard keeps weights
         # resident).  Replicas contend for the shared DRAM channels.
         self.mem = mem if placement == "replicate" else None
-        self._contenders = 1
         # Per contender count, the ``(exposed_cycles, hits, misses)`` of
         # a cold run and of a warm one: every fetch is priced once.
         self._reload_tables: dict[int, tuple] = {}
@@ -253,7 +252,7 @@ class WorkerPool:
         """Re-derive DRAM-channel contention and its reload table."""
         if self.mem is None:
             return
-        self._contenders = contenders = contenders_per_channel(
+        contenders = contenders_per_channel(
             max(1, len(self._active)), self.mem.shared_channels
         )
         table = self._reload_tables.get(contenders)

@@ -9,6 +9,7 @@ from repro.config import (
     paper_accelerator,
     transformer_base,
 )
+from repro.core.model_runner import exposed_reload_cycles
 from repro.memsys import ddr4_2400, unlimited
 from repro.serving import simulate_serving
 from repro.serving.batching import BatchCostModel
@@ -103,9 +104,13 @@ class TestChannelContention:
         assert shared_stall > private_stall
 
     def test_single_device_never_contends(self, model, acc):
+        # A lone device fetches at the channel's full bandwidth.
         mem = ddr4_2400().with_updates(shared_channels=1)
         pool = self._pool(model, acc, mem, 1)
-        assert pool._contenders == 1
+        fetches = [(mem.transfer_cycles(nbytes, acc.clock_mhz), compute)
+                   for compute, nbytes in pool.cost.block_units]
+        assert (pool._memsys_reload_cycles(0)[0]
+                == exposed_reload_cycles(fetches, True))
 
     def test_failed_replica_stops_contending(self, model, acc):
         # A fail-stopped replica leaves the shared channel: the survivor
