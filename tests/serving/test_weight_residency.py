@@ -9,7 +9,7 @@ replays random membership histories against the per-device LRU walk
 the pool used to run, kept here as the oracle.
 """
 
-from functools import lru_cache
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +49,7 @@ SPECS = {
 }
 
 
-@lru_cache(maxsize=None)
+@cache
 def cost_model(model_name, spec_name):
     return BatchCostModel(
         MODELS[model_name], paper_accelerator(),
