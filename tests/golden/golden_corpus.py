@@ -1,4 +1,4 @@
-"""The output-equivalence corpus: fourteen simulator runs and their digests.
+"""The output-equivalence corpus: sixteen simulator runs and their digests.
 
 Each run is one seeded simulation made with a metrics registry and a
 sampled :class:`~repro.obs.TraceCollector` attached.  Its outputs are
@@ -104,6 +104,13 @@ def _warm_cache(config: ClusterConfig) -> ClusterConfig:
     ))
 
 
+def _flat(config: ClusterConfig) -> ClusterConfig:
+    """Take every FPGA pool off its memory system."""
+    return config.with_updates(pools=tuple(
+        p.with_updates(memory=None) for p in config.pools
+    ))
+
+
 def _decode(config: DecodeConfig) -> Callable:
     def run(registry, tracer):
         result = simulate_decode(
@@ -144,6 +151,12 @@ def runs(seed: int) -> dict[str, Callable]:
             memory=ddr4_2400().with_updates(weight_cache_kib=45_000),
             device_failure_rate=0.01, seed=seed,
         )),
+        # Compressed weights without a memory system: the flat reload
+        # is priced from the circ16 footprint.
+        "serving-circ16-flat": _serving(ServingConfig(
+            num_requests=400, num_devices=2,
+            compression=circulant_spec(16), seed=seed,
+        )),
         "cluster-slo-autoscaled": _cluster(
             pinned_cluster(requests_per_tenant=120, seed=seed)
         ),
@@ -165,6 +178,10 @@ def runs(seed: int) -> dict[str, Callable]:
         )),
         # Warm FPGA pools: devices the autoscaler adds join cold.
         "cluster-warm-cache": _cluster(_warm_cache(
+            pinned_cluster(requests_per_tenant=120, seed=seed)
+        )),
+        # Dense FPGA pools without a memory system: the flat reload.
+        "cluster-flat-fpga": _cluster(_flat(
             pinned_cluster(requests_per_tenant=120, seed=seed)
         )),
         "cluster-bursty-monitored": _cluster(
