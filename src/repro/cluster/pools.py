@@ -11,12 +11,16 @@ devices side by side.
 Heterogeneity enters through the cost model:
 
 * ``"fpga"`` pools price batches with the cycle-accurate
-  :class:`~repro.serving.batching.BatchCostModel` (schedules + optional
-  miss-driven weight traffic through a
-  :class:`~repro.config.MemoryConfig`);
+  :class:`~repro.serving.batching.BatchCostModel`, and their workers
+  price each ResBlock's weight fetch over a
+  :class:`~repro.config.MemoryConfig`, or without one over the Weight
+  Memory port;
 * ``"gpu"`` pools price batches with :class:`GpuBatchCostModel`, which
   duck-types the same interface on top of the ``repro.gpu_model``
-  roofline kernels (V100 by default).
+  roofline kernels (V100 by default) and fetches nothing.
+
+The router's expected run of a pool is the run its workers price next
+(:attr:`~repro.serving.devices.WorkerPool.run_us`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ class GpuBatchCostModel:
     expressed as nanosecond "cycles" (``acc.clock_mhz`` = 1000) so the
     :class:`~repro.serving.devices.WorkerPool` machinery needs no
     special-casing.  GPUs keep weights in HBM — the roofline already
-    prices that traffic — so ``reload_cycles`` is zero.
+    prices that traffic — so every ResBlock's ``block_units`` entry
+    carries zero weight bytes and a run fetches nothing.
     """
 
     def __init__(self, model: ModelConfig, spec: GpuSpec, seq_len: int) -> None:
@@ -70,7 +75,6 @@ class GpuBatchCostModel:
         ffn_us = spec.sequence_latency_us(ffn_resblock_kernels(model, seq_len))
         self.mha_cycles = round(mha_us * GPU_TIME_BASE_MHZ)
         self.ffn_cycles = round(ffn_us * GPU_TIME_BASE_MHZ)
-        self.reload_cycles = 0
         # The roofline has no padding waste of its own, so a layer's
         # "ideal" cycles equal its compute cycles: GPU pools report
         # utilization 1.0 and the cluster's utilization stories stay
@@ -82,12 +86,14 @@ class GpuBatchCostModel:
             (("enc", enc, enc),) * model.num_encoder_layers
             + (("dec", dec, dec),) * model.num_decoder_layers
         )
+        #: Per-ResBlock ``(compute_cycles, weight_bytes)``: no fetches.
+        mha, ffn = (self.mha_cycles, 0), (self.ffn_cycles, 0)
+        self.block_units: tuple[tuple[int, int], ...] = (
+            (mha, ffn) * model.num_encoder_layers
+            + (mha, mha, ffn) * model.num_decoder_layers
+        )
         self.compute_cycles = sum(c for _, c, _ in self.layer_units)
         self.ideal_cycles = self.compute_cycles
-        self.run_cycles = self.compute_cycles
-
-    def run_us(self, include_reload: bool = True) -> float:
-        return self.acc.cycles_to_us(self.run_cycles)
 
 
 def build_cost_model(
@@ -101,14 +107,7 @@ def build_cost_model(
         clock_mhz=pool.clock_mhz,
         abft_protected=pool.abft_protected,
     )
-    return BatchCostModel(
-        model, acc,
-        double_buffered_weights=(
-            pool.memory.double_buffered_prefetch
-            if pool.memory is not None else False
-        ),
-        compression=pool.compression,
-    )
+    return BatchCostModel(model, acc, compression=pool.compression)
 
 
 class PoolRuntime(PoolState):
@@ -137,15 +136,19 @@ class PoolRuntime(PoolState):
                 mem=config.memory if config.kind == "fpga" else None,
             ),
         )
-        self.run_us = self.cost.run_us()
-        # Router state: latency EWMA seeded with one uncontended run so
-        # the first routing decisions already see the pool's speed.
-        self.ewma_us = self.run_us
+        # Router state: latency EWMA seeded with the pool's first priced
+        # run so the first routing decisions already see its speed.
+        self.ewma_us = self.workers.run_us
         # Autoscaler state.
         self.last_scale_up_us = float("-inf")
         self.last_scale_down_us = float("-inf")
         self.busy_us_snapshot = 0.0
         self.completions: deque[tuple[float, float]] = deque()
+
+    @property
+    def run_us(self) -> float:
+        """The pool's next priced run (:attr:`WorkerPool.run_us`)."""
+        return self.workers.run_us
 
     @property
     def active_device_count(self) -> int:
@@ -165,7 +168,8 @@ class PoolRuntime(PoolState):
         """
         wait_for_device = max(0.0, self.workers.next_free_us() - now_us)
         backlog_batches = len(self.queue) / self.batcher.max_requests
-        return now_us + wait_for_device + (backlog_batches + 1.0) * self.run_us
+        return (now_us + wait_for_device
+                + (backlog_batches + 1.0) * self.workers.run_us)
 
     def observe_completion(self, completion_us: float, latency_us: float) -> None:
         """Fold one completed request into the EWMA and the p99 window."""

@@ -956,11 +956,11 @@ class ServingConfig(_Config):
             deterministic (fault events draw from an independent
             stream spawned from the same seed).
         memory: Off-chip memory system (:class:`MemoryConfig`).  When
-            set, ``"replicate"`` devices price weight reloads as
-            miss-driven traffic through a per-device LRU weight cache
-            over a shared DRAM channel, replacing the flat
-            ``model_reload_cycles`` constant; ``None`` keeps the
-            legacy flat-reload accounting.
+            set, ``"replicate"`` devices fetch each ResBlock's weights
+            over the shared DRAM channels into a per-device weight
+            cache, priced as two states: cold (every block misses) and
+            warm (the blocks the cache holds hit).  ``None`` fetches
+            every block over the Weight Memory port with no cache.
         compression: Weight-compression spec the served model uses
             (``None`` = dense weights).  Batches are priced with the
             compressed MHA/FFN schedules and the smaller compressed

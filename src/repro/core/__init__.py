@@ -50,9 +50,6 @@ from .memory import (
 from .model_runner import (
     AcceleratedStack,
     StackReport,
-    ffn_reload_cycles,
-    mha_reload_cycles,
-    model_reload_cycles,
 )
 from .partition import (
     QKTPlan,
@@ -179,13 +176,10 @@ __all__ = [
     "image_bytes",
     "load_image",
     "ffn_cycle_breakdown",
-    "ffn_reload_cycles",
     "ffn_tile_bytes",
     "flip_bit",
     "mha_cycle_breakdown",
-    "mha_reload_cycles",
     "mha_tile_bytes",
-    "model_reload_cycles",
     "paper_deviation",
     "pass_busy_cycles",
     "partition_columns",

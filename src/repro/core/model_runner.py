@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import AcceleratorConfig, ModelConfig
+from ..config import AcceleratorConfig
 from ..errors import ScheduleError, ShapeError
 from ..quant.qmodel import QuantizedTransformer
 from ..transformer.masks import causal_mask, combine_masks, padding_mask
@@ -30,22 +30,14 @@ from .accelerator import TransformerAccelerator
 WEIGHT_PORT_WORDS = 64
 
 
-def mha_reload_cycles(model: ModelConfig) -> int:
-    """Cycles to stream one MHA ResBlock's weight tiles into memory.
+def port_fetch_cycles(weight_bytes: int, weight_bits: int) -> int:
+    """Cycles to stream ``weight_bytes`` of ``weight_bits``-bit weights
+    through the Weight Memory port, :data:`WEIGHT_PORT_WORDS` per cycle.
 
-    Counts the same words :meth:`AcceleratedStack._reload_cycles_mha`
-    does — ``W_Q/W_K/W_V`` for every head plus ``W_G`` — but from the
-    :class:`ModelConfig` alone, so cycle-only consumers (the serving
-    simulator) can account reloads without building a quantized model.
+    The one flat price of a ResBlock's weight fetch: the serving pools
+    charge it per block from the block's (possibly compressed) bytes.
     """
-    words = 3 * model.d_model * model.d_model + model.d_model ** 2
-    return -(-words // WEIGHT_PORT_WORDS)
-
-
-def ffn_reload_cycles(model: ModelConfig) -> int:
-    """Cycles to stream one FFN ResBlock's ``W_1``/``W_2`` tiles."""
-    words = 2 * model.d_model * model.d_ff
-    return -(-words // WEIGHT_PORT_WORDS)
+    return -(-8 * weight_bytes // (WEIGHT_PORT_WORDS * weight_bits))
 
 
 def exposed_reload_cycles(
@@ -64,27 +56,6 @@ def exposed_reload_cycles(
         exposed += max(0, fetch - prev_compute) if double_buffered else fetch
         prev_compute = compute
     return exposed
-
-
-def model_reload_cycles(
-    model: ModelConfig,
-    double_buffered: bool = False,
-    mha_compute_cycles: int = 0,
-    ffn_compute_cycles: int = 0,
-) -> int:
-    """Total exposed reload cycles for one full model execution.
-
-    Encoder layers hold one MHA + one FFN ResBlock; decoder layers two
-    MHA (self + cross) + one FFN, exposed by
-    :func:`exposed_reload_cycles`.
-    """
-    mha = (mha_reload_cycles(model), mha_compute_cycles)
-    ffn = (ffn_reload_cycles(model), ffn_compute_cycles)
-    blocks = (
-        [mha, ffn] * model.num_encoder_layers
-        + [mha, mha, ffn] * model.num_decoder_layers
-    )
-    return exposed_reload_cycles(blocks, double_buffered)
 
 
 @dataclass

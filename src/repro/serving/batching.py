@@ -11,8 +11,8 @@ amortized and the padding waste becomes real, accounted throughput.
 The cost of a run comes straight from the cycle-accurate models:
 :func:`~repro.core.scheduler.schedule_mha` / ``schedule_ffn`` per
 ResBlock — including the Eq. (3) irregular ``Q K^T`` handling and the
-softmax/LayerNorm tails — plus the weight-reload accounting of
-:mod:`repro.core.model_runner`.
+softmax/LayerNorm tails — and each ResBlock's weight bytes, which the
+:class:`~repro.serving.devices.WorkerPool` prices as reload traffic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Optional
 from ..compress.footprint import ffn_weight_bytes, mha_weight_bytes
 from ..config import AcceleratorConfig, CompressionSpec, ModelConfig
 from ..core.cycle_model import DENSE
-from ..core.model_runner import model_reload_cycles
 from ..core.scheduler import schedule_ffn, schedule_mha
 from ..errors import ServingError
 from .admission import AdmissionQueue
@@ -72,9 +71,8 @@ class BatchCostModel:
 
     * per-ResBlock schedule totals (``schedule_mha`` / ``schedule_ffn``);
     * full-model compute cycles (encoder + decoder stacks);
-    * exposed weight-reload cycles per run (``"replicate"`` placement
-      reloads every block from off-array memory; ``"layer_shard"`` keeps
-      weights resident);
+    * per-ResBlock weight bytes, the unit the pool's reload price works
+      at (:class:`~repro.serving.devices.WorkerPool`);
     * the ideal-MAC cycle count used for utilization accounting.
 
     With a ``compression`` spec the per-ResBlock schedules price their
@@ -87,7 +85,6 @@ class BatchCostModel:
         self,
         model: ModelConfig,
         acc: AcceleratorConfig,
-        double_buffered_weights: bool = False,
         compression: Optional[CompressionSpec] = None,
     ) -> None:
         self.model = model
@@ -102,12 +99,6 @@ class BatchCostModel:
         self.ffn_cycles = ffn.total_cycles
         self.mha_ideal = mha.ideal_sa_cycles
         self.ffn_ideal = ffn.ideal_sa_cycles
-        self.reload_cycles = model_reload_cycles(
-            model,
-            double_buffered=double_buffered_weights,
-            mha_compute_cycles=self.mha_cycles,
-            ffn_compute_cycles=self.ffn_cycles,
-        )
         # Every field below is fixed for the model's lifetime, so each
         # is computed here once rather than on every dispatch.
         enc = ("enc", self.mha_cycles + self.ffn_cycles,
@@ -133,12 +124,6 @@ class BatchCostModel:
         self.compute_cycles = sum(c for _, c, _ in self.layer_units)
         #: 100%-utilization MAC cycles of one full-model run.
         self.ideal_cycles = sum(i for _, _, i in self.layer_units)
-        #: Compute + exposed reload cycles (``"replicate"`` placement).
-        self.run_cycles = self.compute_cycles + self.reload_cycles
-
-    def run_us(self, include_reload: bool = True) -> float:
-        cycles = self.run_cycles if include_reload else self.compute_cycles
-        return self.acc.cycles_to_us(cycles)
 
     def stage_cycles(self, num_stages: int) -> list[int]:
         """Split the layer sequence into ``num_stages`` pipeline stages.

@@ -3,14 +3,15 @@
 Two placements over ``N`` simulated devices:
 
 * ``"replicate"`` — every device holds the full model and serves whole
-  batches independently; each run pays the per-block weight-reload
-  cycles of :func:`~repro.core.model_runner.model_reload_cycles`
-  (the on-chip weight memory only holds one layer, exactly as in
-  :class:`~repro.core.model_runner.AcceleratedStack`).  With a
-  :class:`~repro.config.MemoryConfig` the flat reload constant is
-  replaced by miss-driven traffic: a block missing from the device's
-  weight cache is fetched over the shared DRAM channels (replicas
-  contend) and exposed by
+  batches independently, fetching every ResBlock's weights before it
+  runs (the on-chip weight memory only holds one layer, exactly as in
+  :class:`~repro.core.model_runner.AcceleratedStack`).  The fetches go
+  over a memory system's link: a :class:`~repro.config.MemoryConfig`'s
+  shared DRAM channels (replicas contend) in front of a per-device
+  weight cache, or without one the Weight Memory port itself
+  (:func:`~repro.core.model_runner.port_fetch_cycles`, one bank, no
+  cache).  Either way a block's fetch is priced from its possibly
+  compressed bytes and exposed by
   :func:`~repro.core.model_runner.exposed_reload_cycles`;
 * ``"layer_shard"`` — the layer stack is split into ``N`` contiguous
   pipeline stages, one per device, with weights resident (no reloads);
@@ -22,6 +23,8 @@ same ResBlock weight sets in the same order: cold (every block misses),
 and warm after its first run (every block no larger than the cache hits)
 only if those blocks fit in the cache together.  The pool prices both
 per contender count; each device keeps one bit, ``Device.weights_warm``.
+Without a cache the two states price alike.  The pool's ``run_us`` is
+the run it expects next, which the cluster router reads.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig
-from ..core.model_runner import exposed_reload_cycles
+from ..core.model_runner import exposed_reload_cycles, port_fetch_cycles
 from ..errors import ServingError
 from ..memsys.bandwidth import contenders_per_channel
 from ..memsys.cache import default_weight_cache_bytes
@@ -46,7 +49,7 @@ class Device:
     records when it joined, a draining device finishes its in-flight
     batch but accepts no new ones, and a retired device records when
     its drain completed.  Plain serving runs never touch them.
-    ``weights_warm`` is set by its first run under a memory system.
+    ``weights_warm`` is set by its first replicated run.
     """
 
     device_id: int
@@ -90,7 +93,7 @@ class DispatchOutcome:
     sharded run, each duration exactly as the device computed it.
     ``cycles`` and its exposed ``reload_cycles`` price a single-device
     run (``None`` for a sharded run); ``hits`` / ``misses`` count its
-    cache lookups (``None`` without a memory system).  Spans and
+    cache lookups (``None`` without a weight cache to look up).  Spans and
     counters are views of these facts (:mod:`repro.serving.views`).
 
     Slotted, with tuples: a run's log keeps every outcome alive.
@@ -118,6 +121,12 @@ class WorkerPool:
     :class:`DispatchOutcome`; the pool keeps only device state (busy
     time, membership, warm weight caches), and hit, miss and stall totals
     are folds over the logged outcomes.
+
+    ``run_us`` is read-only: the duration of the run the pool expects
+    next (compute plus the cold reload at the current contention, or
+    the warm one once every active device is warm; a sharded run's
+    stages end to end).  It is refreshed where membership or warmth
+    changes, never per query.
     """
 
     def __init__(
@@ -146,19 +155,19 @@ class WorkerPool:
         # add_device / drain_device / fail_device (the only places that
         # change membership), so the per-event queries never rebuild it.
         self._active = list(self.devices)
+        # Memory system (replicate only: layer_shard keeps weights
+        # resident, so its run is its stages end to end).
+        self.mem = mem if placement == "replicate" else None
         if placement == "layer_shard":
             self._stage_us = [
                 acc.cycles_to_us(c)
                 for c in cost_model.stage_cycles(num_devices)
             ]
-        # Memory system (replicate only: layer_shard keeps weights
-        # resident).  Replicas contend for the shared DRAM channels.
-        self.mem = mem if placement == "replicate" else None
-        # Per contender count, the ``(exposed_cycles, hits, misses)`` of
-        # a cold run and of a warm one: every fetch is priced once.
-        self._reload_tables: dict[int, tuple] = {}
-        if self.mem is not None:
-            self._resident = self._warm_residency()
+            self.run_us = sum(self._stage_us)
+        else:
+            # Per contender count, the ``(exposed_cycles, hits, misses)``
+            # of a cold run and of a warm one: every fetch is priced once.
+            self._reload_tables: dict[int, tuple] = {}
             self._recount_contenders()
 
     @property
@@ -249,30 +258,48 @@ class WorkerPool:
         return tuple(n <= capacity for n in sizes)
 
     def _recount_contenders(self) -> None:
-        """Re-derive DRAM-channel contention and its reload table."""
-        if self.mem is None:
+        """Re-derive link contention, its reload table and ``run_us``."""
+        if self.placement == "layer_shard":
             return
-        contenders = contenders_per_channel(
-            max(1, len(self._active)), self.mem.shared_channels
+        mem = self.mem
+        # Without a memory system each device has its own port.
+        contenders = 1 if mem is None else contenders_per_channel(
+            max(1, len(self._active)), mem.shared_channels
         )
-        table = self._reload_tables.get(contenders)
-        if table is None:
-            clock_mhz = self.acc.clock_mhz
-            cold = [
-                (self.mem.transfer_cycles(nbytes, clock_mhz, contenders),
-                 compute)
-                for compute, nbytes in self.cost.block_units
-            ]
-            warm = [(0 if hit else fetch, compute)
-                    for (fetch, compute), hit in zip(cold, self._resident)]
-            prefetch = self.mem.double_buffered_prefetch
-            hits = sum(self._resident)
-            table = self._reload_tables[contenders] = (
-                (exposed_reload_cycles(cold, prefetch), 0, len(cold)),
-                (exposed_reload_cycles(warm, prefetch), hits,
-                 len(cold) - hits),
-            )
-        self._reload_table = table
+        if contenders not in self._reload_tables:
+            self._reload_tables[contenders] = self._price_reloads(contenders)
+        self._reload_table = self._reload_tables[contenders]
+        self._refresh_run_us()
+
+    def _price_reloads(self, contenders: int) -> tuple:
+        """The cold and warm ``(exposed_cycles, hits, misses)`` of a run."""
+        mem = self.mem
+        if mem is None:
+            # The Weight Memory port: one bank (no prefetch), no cache.
+            bits = self.acc.weight_bits
+            run = (sum(port_fetch_cycles(nbytes, bits)
+                       for _, nbytes in self.cost.block_units), None, None)
+            return run, run
+        clock_mhz = self.acc.clock_mhz
+        cold = [(mem.transfer_cycles(nbytes, clock_mhz, contenders), compute)
+                for compute, nbytes in self.cost.block_units]
+        resident = self._warm_residency()
+        warm = [(0 if hit else fetch, compute)
+                for (fetch, compute), hit in zip(cold, resident)]
+        prefetch = mem.double_buffered_prefetch
+        hits = sum(resident)
+        return (
+            (exposed_reload_cycles(cold, prefetch), 0, len(cold)),
+            (exposed_reload_cycles(warm, prefetch), hits, len(cold) - hits),
+        )
+
+    def _refresh_run_us(self) -> None:
+        cold, warm = self._reload_table
+        all_warm = all(d.weights_warm for d in self._active)
+        reload_cycles = (warm if all_warm else cold)[0]
+        self.run_us = self.acc.cycles_to_us(
+            self.cost.compute_cycles + reload_cycles
+        )
 
     def fail_device(self, device_id: int, at_us: float) -> None:
         """Fail-stop ``device_id`` at ``at_us`` (no effect if dead)."""
@@ -305,15 +332,10 @@ class WorkerPool:
                 self._active, key=lambda d: (d.free_at_us, d.device_id)
             )
             start = max(now_us, device.free_at_us)
-            hits = misses = None
-            if self.mem is None:
-                cycles = self.cost.run_cycles
-                reload_cycles = self.cost.reload_cycles
-            else:
-                reload_cycles, hits, misses = self._memsys_reload_cycles(
-                    device.device_id
-                )
-                cycles = self.cost.compute_cycles + reload_cycles
+            reload_cycles, hits, misses = self._memsys_reload_cycles(
+                device.device_id
+            )
+            cycles = self.cost.compute_cycles + reload_cycles
             duration = self.acc.cycles_to_us(cycles)
             device.occupy(start, duration)
             return DispatchOutcome(
@@ -333,17 +355,19 @@ class WorkerPool:
             occupied[0][1], ready, tuple(occupied), None, None, None, None
         )
 
-    def _memsys_reload_cycles(self, device_id: int) -> tuple[int, int, int]:
+    def _memsys_reload_cycles(self, device_id: int) -> tuple:
         """``(exposed_cycles, hits, misses)`` of one run on ``device_id``.
 
         A device's first run is cold and leaves it warm (see the module
-        docstring); an ABFT retry on it runs warm.
+        docstring); an ABFT retry on it runs warm.  Warming the last
+        cold device turns the pool's ``run_us`` warm.
         """
         device = self.devices[device_id]
         cold, warm = self._reload_table
         if device.weights_warm:
             return warm
         device.weights_warm = True
+        self._refresh_run_us()
         return cold
 
     def busy_fraction(self, makespan_us: float) -> float:

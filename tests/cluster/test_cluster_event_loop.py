@@ -219,24 +219,24 @@ class TestKernelInvariants:
 
 #: ``dataclasses.astuple(metrics)`` and record-status tallies of the
 #: pinned cluster at ten times its tenants' rates (seed 3, autoscaled),
-#: recorded before the loop kept one pending wakeup per pool.
+#: recorded after the slo router began reading each pool's priced run.
 OVERLOAD_METRICS = (
-    600, 495, 32, 73, 0, 338, 0.5633333333333334, 1989.219119083262,
-    248841.36455923584, 30134.81503984936, 106299.88885634794,
-    34399.19671752073, "slo", 4, 0,
-    {"batch": (200, 179, 0, 21, 0, 179, 0.895, 37778.95133328934,
-               105590.65778427503, 38023.616877106884),
-     "bursty": (200, 179, 0, 21, 0, 122, 0.61, 30644.87996656011,
-                106299.88885634794, 35049.53572493477),
-     "interactive": (200, 137, 32, 31, 0, 37, 0.185,
-                     23936.846871110596, 107660.93636689999,
-                     28813.927440929197)},
-    {"fpga-a": (136, 136, 81, 1.6790123456790123, 0.7700617283950617,
-                4, 4, 2, 0, 0.9506427277766911, 0.0, 22),
-     "fpga-b": (60, 60, 35, 1.7142857142857142, 0.7633928571428571,
-                2, 2, 1, 0, 0.9804930126191171, 0.0, 22),
-     "gpu-0": (372, 299, 188, 1.5904255319148937, 0.7464261968085106,
-               2, 2, 1, 0, 0.9471058747522377, 0.0, 48)},
+    600, 467, 32, 101, 0, 353, 0.5883333333333334, 1956.305030926546,
+    238715.32946925936, 26583.16956377294, 45343.45979736655,
+    26183.292101718107, "slo", 4, 2,
+    {"interactive": (200, 127, 32, 41, 0, 35, 0.175,
+                     25327.939765529747, 35115.34942305875,
+                     24350.641614797532),
+     "batch": (200, 169, 0, 31, 0, 169, 0.845, 28882.83209025648,
+               45475.081657251605, 29284.75765454956),
+     "bursty": (200, 171, 0, 29, 0, 149, 0.745, 23303.309355593374,
+                45881.12099432445, 24479.192297100508)},
+    {"fpga-a": (127, 127, 75, 1.6933333333333334, 0.724375,
+                3, 4, 2, 1, 0.9024146586548392, 0.0, 11),
+     "fpga-b": (48, 48, 29, 1.6551724137931034, 0.7489224137931034,
+                1, 2, 1, 1, 0.8657592309311452, 0.0, 10),
+     "gpu-0": (393, 292, 189, 1.5449735449735449, 0.746114417989418,
+               2, 2, 1, 0, 0.9946859056924349, 0.0, 48)},
 )
 
 
@@ -249,9 +249,9 @@ class TestOutcomePins:
         result = simulate_cluster(model, cluster)
         assert dataclasses.astuple(result.metrics) == OVERLOAD_METRICS
         assert Counter(r.status for r in result.records) == {
-            "completed": 495, "rejected": 73, "shed": 32,
+            "completed": 467, "rejected": 101, "shed": 32,
         }
-        assert len(result.actions) == 4
+        assert len(result.actions) == 6
 
 
 #: The bursty observability scenario, where a ``BurnRateMonitor`` is the

@@ -38,7 +38,7 @@ class TestBatchCostModel:
                                compression=CompressionSpec())
         assert dense.mha_cycles == plain.mha_cycles
         assert dense.ffn_cycles == plain.ffn_cycles
-        assert dense.run_cycles == plain.run_cycles
+        assert dense.block_units == plain.block_units
 
     def test_compressed_weight_bytes_shrink(self, paper):
         model, acc = paper

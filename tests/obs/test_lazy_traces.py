@@ -131,5 +131,5 @@ class TestLazyBuild:
         }
         check_lazy(tracer, counts, result.metrics.offered, interesting,
                    sampler)
-        # 360 roots plus the 62 hops of the 20 trees kept in full.
-        assert counts["built"] == 422
+        # 360 roots plus the 63 hops of the 20 trees kept in full.
+        assert counts["built"] == 423

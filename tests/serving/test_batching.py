@@ -8,17 +8,14 @@ from repro.config import (
     paper_accelerator,
     transformer_base,
 )
-from repro.core import (
-    model_reload_cycles,
-    schedule_ffn,
-    schedule_mha,
-)
+from repro.core import schedule_ffn, schedule_mha
 from repro.errors import ServingError
 from repro.serving import (
     AdmissionQueue,
     BatchCostModel,
     DynamicBatcher,
     Request,
+    WorkerPool,
 )
 
 
@@ -92,26 +89,24 @@ class TestBatchCostModel:
         layers = (model.num_encoder_layers * (mha + ffn)
                   + model.num_decoder_layers * (2 * mha + ffn))
         assert cost.compute_cycles == layers
-        assert cost.run_cycles == layers + model_reload_cycles(model)
+        assert sum(c for c, _ in cost.block_units) == layers
 
     def test_stage_partition_conserves_cycles(self):
         cost = BatchCostModel(transformer_base(), paper_accelerator())
         for stages in (1, 2, 3, 4, 6, 12):
             assert sum(cost.stage_cycles(stages)) == cost.compute_cycles
 
-    def test_double_buffering_reduces_reloads(self):
-        model, acc = transformer_base(), paper_accelerator()
-        plain = BatchCostModel(model, acc)
-        buffered = BatchCostModel(model, acc, double_buffered_weights=True)
-        assert buffered.reload_cycles < plain.reload_cycles
-
     def test_cost_independent_of_batch_contents(self):
         # The SA always runs its full s rows: one run costs the same
         # whether it carries 1 request or 8 — the entire batching win.
         cost = BatchCostModel(transformer_base(), paper_accelerator())
-        assert cost.run_cycles == BatchCostModel(
-            transformer_base(), paper_accelerator()
-        ).run_cycles
+        pool = WorkerPool(2, "replicate", cost, cost.acc)
+        batcher = DynamicBatcher(64, max_requests=8, max_wait_us=0.0)
+        batches = [batcher.try_form(_queue_with([8] * n), 0.0)
+                   for n in (1, 8)]
+        assert [b.num_requests for b in batches] == [1, 8]
+        one, eight = (pool.dispatch(b, 0.0) for b in batches)
+        assert one.cycles == eight.cycles
 
     def test_seq_len_raises_cost(self):
         model = transformer_base()

@@ -6,7 +6,9 @@ run, or forever when the cacheable blocks do not fit together) or warm
 (every block no larger than the cache hits).  ``WorkerPool`` keeps one
 warm bit per device instead of walking an LRU.  The property below
 replays random membership histories against the per-device LRU walk
-the pool used to run, kept here as the oracle.
+the pool used to run, kept here as the oracle.  A pool without a
+memory system runs through the same check: it fetches every block over
+the Weight Memory port, 64 words a cycle, and has no cache to look up.
 """
 
 from functools import cache
@@ -75,7 +77,7 @@ class _ReferencePool:
         self.pool = pool
         mem = pool.mem
         self.capacity = None
-        if mem.enable_weight_cache:
+        if mem is not None and mem.enable_weight_cache:
             self.capacity = (
                 int(mem.weight_cache_kib * 1024)
                 if mem.weight_cache_kib is not None
@@ -94,6 +96,10 @@ class _ReferencePool:
     def run(self, device_id):
         """``(cycles, exposed, hits, misses)`` of one run on a device."""
         pool, mem = self.pool, self.pool.mem
+        if mem is None:
+            exposed = sum(-(-8 * nbytes // (64 * pool.acc.weight_bits))
+                          for _, nbytes in pool.cost.block_units)
+            return pool.cost.compute_cycles + exposed, exposed, None, None
         contenders = contenders_per_channel(
             max(1, len(pool.active_devices)), mem.shared_channels
         )
@@ -134,8 +140,10 @@ def memory_configs(draw):
     cost = cost_model(draw(st.sampled_from(sorted(MODELS))),
                       draw(st.sampled_from(sorted(SPECS))))
     capacity = draw(st.sampled_from(
-        [None, "disabled", *edge_capacities(cost)]
+        [None, "disabled", "no memory system", *edge_capacities(cost)]
     ))
+    if capacity == "no memory system":
+        return cost, None
     mem = ddr4_2400().with_updates(
         double_buffered_prefetch=draw(st.booleans()),
         shared_channels=draw(st.sampled_from([1, 2])),
