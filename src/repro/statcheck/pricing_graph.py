@@ -272,9 +272,10 @@ def check_pricing(
     findings: list[Finding] = []
     checks = 0
 
-    # PRC001 — every booking site names a priced unit.
+    # PRC001 — every booking site names a priced unit.  One check per
+    # distinct (module, unit, event): a repeated booking proves nothing new.
+    checks += len({(s.file, s.unit, s.name) for s in inventory.bookings})
     for site in inventory.bookings:
-        checks += 1
         if site.unit is None:
             if "PRC004" in codes:
                 findings.append(Finding(
@@ -303,9 +304,10 @@ def check_pricing(
                 details={"unit": site.unit, "event": site.name},
             ))
 
-    # PRC002/PRC004 — every emitted metric is a registered family.
+    # PRC002/PRC004 — every emitted metric is a registered family.  One
+    # check per distinct (module, family), however many sites emit it.
+    emitted_in: set[tuple[str, Optional[str]]] = set()
     for site in inventory.emissions:
-        checks += 1
         if site.metric is None:
             if not site.recovered and "PRC004" in codes:
                 findings.append(Finding(
@@ -323,6 +325,7 @@ def check_pricing(
             candidates = site.recovered
         else:
             candidates = (site.metric,)
+        emitted_in.update((site.file, name) for name in candidates or (None,))
         if "PRC002" not in codes:
             continue
         for name in candidates:
@@ -339,6 +342,8 @@ def check_pricing(
                     ),
                     details={"metric": name},
                 ))
+
+    checks += len(emitted_in)
 
     # PRC003 — registered families nothing emits are stale.
     emitted = inventory.emitted_families()

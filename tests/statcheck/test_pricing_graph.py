@@ -73,6 +73,38 @@ class TestChecks:
         assert any(f.code == "PRC004" and f.severity == "warning"
                    for f in findings)
 
+    def test_checks_count_distinct_families_not_call_sites(self):
+        family, other = sorted(METRIC_FAMILIES)[:2]
+
+        def checks_with(*names):
+            src = "def record(registry):\n" + "".join(
+                f"    registry.counter({name!r}, 'x').inc(1)\n"
+                for name in names
+            )
+            checks, _ = check_pricing(
+                SRC_ROOT, extra_sources={"repro/telemetry/_x.py": src}
+            )
+            return checks
+
+        once = checks_with(family)
+        assert checks_with(family, family) == once
+        assert checks_with(family, other) == once + 1
+
+    def test_checks_count_distinct_bookings_not_call_sites(self):
+        def checks_with(*events):
+            src = "def schedule(timeline):\n" + "".join(
+                f"    timeline.module_event({event!r}, 'softmax', 0, 64)\n"
+                for event in events
+            )
+            checks, _ = check_pricing(
+                SRC_ROOT, extra_sources={"repro/core/_x.py": src}
+            )
+            return checks
+
+        once = checks_with("sm")
+        assert checks_with("sm", "sm") == once
+        assert checks_with("sm", "sm2") == once + 1
+
 
 class TestRegistryParity:
     def test_every_cycle_field_maps_to_registered_family(self):
