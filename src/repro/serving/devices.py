@@ -355,7 +355,9 @@ class WorkerPool:
             occupied[0][1], ready, tuple(occupied), None, None, None, None
         )
 
-    def _memsys_reload_cycles(self, device_id: int) -> tuple:
+    def _memsys_reload_cycles(
+        self, device_id: int
+    ) -> tuple[int, Optional[int], Optional[int]]:
         """``(exposed_cycles, hits, misses)`` of one run on ``device_id``.
 
         A device's first run is cold and leaves it warm (see the module

@@ -98,7 +98,6 @@ class TestTheCacheWarms:
 
 class TestTheRouterSeesTheMemorySystem:
     def test_memory_bound_pool_is_priced_slower(self):
-        # Both pools once read 5,038.5 us, a flat reload neither pays.
         cluster, model = pinned_cluster(), transformer_base()
         fpga_a, fpga_b = (
             PoolRuntime(POOLS[name], cluster, model, SEQ_LEN)
@@ -106,3 +105,14 @@ class TestTheRouterSeesTheMemorySystem:
         )
         assert round(fpga_a.run_us, 1) == 6_578.0
         assert round(fpga_b.run_us, 1) == 7_444.8
+
+    def test_a_sharded_pool_expects_its_stages_end_to_end(self):
+        config = POOLS["fpga-a"].with_updates(
+            name="fpga-sharded", placement="layer_shard",
+            min_devices=2, max_devices=2,
+        )
+        pool = PoolRuntime(config, pinned_cluster(), transformer_base(),
+                           SEQ_LEN)
+        outcome = pool.workers.dispatch(BATCH, 0.0)
+        assert outcome.reload_cycles is None
+        assert outcome.completion_us - outcome.start_us == pool.run_us
