@@ -1,4 +1,4 @@
-"""The output-equivalence corpus: sixteen simulator runs and their digests.
+"""The output-equivalence corpus: seventeen simulator runs and their digests.
 
 Each run is one seeded simulation made with a metrics registry and a
 sampled :class:`~repro.obs.TraceCollector` attached.  Its outputs are
@@ -111,10 +111,10 @@ def _flat(config: ClusterConfig) -> ClusterConfig:
     ))
 
 
-def _decode(config: DecodeConfig) -> Callable:
+def _decode(config: DecodeConfig, model=None) -> Callable:
     def run(registry, tracer):
         result = simulate_decode(
-            transformer_base(), paper_accelerator(), config,
+            model or transformer_base(), paper_accelerator(), config,
             registry=registry, tracer=tracer,
         )
         return result, result.write_trace
@@ -195,6 +195,15 @@ def runs(seed: int) -> dict[str, Callable]:
         "decode-ddr4-prefill-chunk": _decode(DecodeConfig(
             policy="prefill_chunk", num_devices=2, memory=ddr4_2400(),
             seed=seed,
+        )),
+        # Four K/V pages against segments of up to nine: the touch that
+        # evicts the front of its own segment, next to real hits.
+        "decode-kv-tight": _decode(DecodeConfig(
+            num_streams=40, prefill_len_min=96, prefill_len_max=512,
+            policy="prefill_chunk", num_devices=2, memory=ddr4_2400(),
+            kv_capacity_bytes=262_144, seed=seed,
+        ), model=transformer_base().with_updates(
+            num_encoder_layers=1, num_decoder_layers=1,
         )),
     }
 
