@@ -14,7 +14,12 @@ gates on:
   stream's working set);
 * ``decode.events_per_request`` — event-kernel heap pops per stream of
   the ``prefill_chunk`` run, deterministic and pinned exactly: a loop
-  that goes back to redundant wakeups fails it.
+  that goes back to redundant wakeups fails it;
+* ``decode.kv_lru_ops_per_lookup`` — LRU entries the K/V cache inserts
+  or removes per ``lookup`` / ``populate`` call on the same run, pinned
+  exactly: a segment is one LRU entry, so a cache that goes back to one
+  entry per page fails it.  The run makes no ``WeightCache.access``
+  call.
 
 The acceptance criteria double as assertions: chunking beats
 decode-priority on both prefill tail and token throughput for this
@@ -23,11 +28,14 @@ region is one full mixed run.
 """
 
 import dataclasses
+from collections import OrderedDict
 
+import repro.decode.kvcache
+import repro.memsys.cache
 from repro.analysis import render_table
 from repro.config import AcceleratorConfig, DecodeConfig
-from repro.decode import simulate_decode
-from repro.memsys import memory_preset
+from repro.decode import KVCacheModel, simulate_decode
+from repro.memsys import WeightCache, memory_preset
 
 SEED = 0
 
@@ -98,3 +106,62 @@ def test_bench_decode_mixed_serving(benchmark, base_model, bench_headline,
         dataclasses.replace(pinned_decode_config("prefill_chunk")),
     )
     assert result.metrics.decoded_tokens > 0
+
+
+def test_bench_decode_kv_lru_ops(base_model, bench_headline, monkeypatch):
+    ops = calls = lru_accesses = 0
+
+    class CountedLRU(OrderedDict):
+        """An LRU's ordered map that counts entry insertions and removals."""
+
+        def __setitem__(self, key, value):
+            nonlocal ops
+            ops += key not in self
+            super().__setitem__(key, value)
+
+        def __delitem__(self, key):
+            nonlocal ops
+            ops += 1
+            super().__delitem__(key)
+
+        def pop(self, key, *default):
+            nonlocal ops
+            ops += key in self
+            return super().pop(key, *default)
+
+        def popitem(self, last=True):
+            nonlocal ops
+            ops += 1
+            return super().popitem(last)
+
+    def counted(method):
+        def call(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(self, *args, **kwargs)
+        return call
+
+    def no_walk(self, *args):
+        nonlocal lru_accesses
+        lru_accesses += 1
+        return access(self, *args)
+
+    access = WeightCache.access
+    # WeightCache's page map counts too (the K/V cache may not import
+    # OrderedDict at all), so a cache that walks pages again fails the
+    # pin as well as the assert below.
+    monkeypatch.setattr(repro.decode.kvcache, "OrderedDict", CountedLRU,
+                        raising=False)
+    monkeypatch.setattr(repro.memsys.cache, "OrderedDict", CountedLRU)
+    for name in ("lookup", "populate"):
+        monkeypatch.setattr(KVCacheModel, name,
+                            counted(getattr(KVCacheModel, name)))
+    monkeypatch.setattr(WeightCache, "access", no_walk)
+    simulate_decode(base_model, AcceleratorConfig(),
+                    pinned_decode_config("prefill_chunk"))
+    print(f"\n{ops} K/V LRU entry insertions and removals over {calls} "
+          f"lookup/populate calls")
+    bench_headline("decode.kv_lru_ops_per_lookup", ops / calls)
+    assert calls > 0
+    # No K/V page walks an LRU of its own.
+    assert lru_accesses == 0

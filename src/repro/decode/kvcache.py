@@ -9,26 +9,35 @@ passes).  What doesn't fit on chip is refetched over the off-chip link
 at :meth:`~repro.config.MemoryConfig.transfer_cycles` prices.
 
 Residency is tracked per 64-token *page* (one SA pass worth of K or V
-rows) with the LRU machinery of
-:class:`~repro.memsys.cache.WeightCache`, keyed by the int tuple
-``(stream, layer, kind, page)`` (``kind`` 0 for self, 1 for cross
-attention).  Each stream keeps the set of keys it inserted, so freeing
-a finished stream touches only its own pages.  A zero-capacity cache is
-the always-refetch mode: every lookup misses in full and nothing is
-retained — the upper bound a host-DRAM-resident KV cache would pay.  Any
-other capacity must hold at least one page; a smaller one would retain
-nothing just the same, so it is refused rather than run as a silent
-always-refetch.
+rows) as an exact run-length LRU.  Every page has one size, so the
+budget holds a whole number of pages.  A decode step or prefill reads
+pages ``0..n-1`` of one *segment* ``(stream, layer, kind)`` in order,
+so afterwards those pages are the most recent, in page order; evictions
+take the oldest pages first.  Each segment's resident pages therefore
+stay one range ``[first, end)`` lying in one piece in LRU order, and
+the LRU is an ordered map from segment to range, oldest first: a touch
+costs one entry plus the runs it trims, not one entry per page.  Only a
+touch with fewer pages than its segment already holds could split a
+range; decode never issues one (a live stream's context only grows),
+so it is refused.  Each stream keeps the set of its segments, so
+freeing a finished stream touches only its own runs.
+
+A zero-capacity cache is the always-refetch mode: every lookup misses
+in full and nothing is retained — the upper bound a host-DRAM-resident
+KV cache would pay.  Any other capacity must hold at least one page; a
+smaller one would retain nothing just the same, so it is refused rather
+than run as a silent always-refetch.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from ..config import AcceleratorConfig, MemoryConfig, ModelConfig
 from ..errors import MemoryModelError
-from ..memsys.cache import WeightCache, default_weight_cache_bytes
+from ..memsys.cache import default_weight_cache_bytes
 
 __all__ = [
     "KVCacheModel",
@@ -40,7 +49,7 @@ __all__ = [
 #: Tokens per residency page — one zero-padded SA pass worth of rows.
 DEFAULT_PAGE_TOKENS = 64
 
-#: Attention kind -> the int that stands for it in a page key.
+#: Attention kind -> the int that stands for it in a segment key.
 _KINDS = {"self": 0, "cross": 1}
 
 
@@ -111,27 +120,24 @@ class KVCacheModel:
         self.acc = acc
         self.mem = mem
         self.capacity_bytes = int(capacity_bytes)
+        self.capacity_pages = self.capacity_bytes // self.page_bytes
         self.lookups = 0
         self.hits = 0
         self.misses = 0
-        # WeightCache requires a positive capacity; zero-capacity mode
-        # (always-refetch) never retains anything, so no LRU is needed.
-        self._lru = (
-            WeightCache(self.capacity_bytes)
-            if self.capacity_bytes > 0 else None
+        self.evictions = 0
+        self._used_pages = 0
+        # Segment -> its resident page range (first, end), oldest first.
+        self._runs: OrderedDict[tuple[int, int, int], tuple[int, int]] = (
+            OrderedDict()
         )
-        # Keys each live stream inserted (some may since be evicted).
-        self._stream_keys: dict[int, set[tuple[int, int, int, int]]] = {}
+        # Live stream -> page count of each segment it touched.
+        self._streams: dict[int, dict[tuple[int, int, int], int]] = {}
         # Refetch prices by missed bytes: a handful of page multiples.
         self._refetch_memo: dict[int, int] = {}
 
     @property
-    def evictions(self) -> int:
-        return self._lru.evictions if self._lru is not None else 0
-
-    @property
     def used_bytes(self) -> int:
-        return self._lru.used_bytes if self._lru is not None else 0
+        return self._used_pages * self.page_bytes
 
     @property
     def hit_rate(self) -> float:
@@ -154,28 +160,60 @@ class KVCacheModel:
             self._refetch_memo[missed_bytes] = cycles
         return cycles
 
-    def _pages(self, context_len: int, kind: str) -> int:
-        """Validate a lookup or populate and return its page count."""
+    def _segment(self, stream: int, layer: int, context_len: int,
+                 kind: str) -> tuple[tuple[int, int, int], int]:
+        """Validate a lookup or populate; return its segment and pages."""
         if kind not in _KINDS:
             raise MemoryModelError(
                 f"kind {kind!r} is not 'self' or 'cross'"
             )
         if context_len <= 0:
             raise MemoryModelError("context_len must be positive")
-        return -(-context_len // DEFAULT_PAGE_TOKENS)
+        pages = -(-context_len // DEFAULT_PAGE_TOKENS)
+        segment = (stream, layer, _KINDS[kind])
+        counts = self._streams.setdefault(stream, {})
+        if pages < counts.get(segment, 0):
+            raise MemoryModelError(
+                f"stream {stream} layer {layer} {kind} K/V would shrink "
+                f"from {counts[segment]} to {pages} pages; a live "
+                f"stream's context only grows"
+            )
+        counts[segment] = pages
+        return segment, pages
 
-    def _touch(self, stream: int, layer: int, kind: str, pages: int) -> int:
+    def _touch(self, segment: tuple[int, int, int], pages: int) -> int:
         """Access pages ``0..pages-1`` oldest-first; return the hits."""
-        lru = self._lru
-        keys = self._stream_keys.setdefault(stream, set())
-        code = _KINDS[kind]
-        hits = 0
-        for page in range(pages):
-            key = (stream, layer, code, page)
-            if lru.access(key, self.page_bytes):
-                hits += 1
-            else:
-                keys.add(key)
+        runs = self._runs
+        cap = self.capacity_pages
+        used = self._used_pages
+        held = hits = 0
+        run = runs.get(segment)
+        if run is not None:
+            first, end = run
+            held = end - first
+            # Trims take the oldest pages and a segment longer than the
+            # cache fills it alone, so only the oldest run can start
+            # past page 0.  Its touch misses pages 0..first-1 first; if
+            # those overflow the cache they evict into the run, each of
+            # its pages just before it is read, and nothing hits.
+            hits = held if used + first <= cap else 0
+            runs.move_to_end(segment)
+        misses = pages - hits
+        kept = min(pages, cap)
+        used_after = min(cap, used + misses)
+        self.evictions += used + misses - used_after
+        # Trim the other segments from the oldest end down to what
+        # still fits beside this segment's last ``kept`` pages.
+        trim = used - held - (used_after - kept)
+        while trim > 0:
+            key, (older_first, older_end) = next(iter(runs.items()))
+            if older_end - older_first > trim:
+                runs[key] = (older_first + trim, older_end)
+                break
+            del runs[key]
+            trim -= older_end - older_first
+        runs[segment] = (pages - kept, pages)
+        self._used_pages = used_after
         return hits
 
     def lookup(
@@ -190,12 +228,15 @@ class KVCacheModel:
         Pages are touched oldest-first (the order the ``q K^T`` chunk
         passes consume them), so under pressure the LRU keeps the tail
         of the context — the pages the *next* step reads last.
+
+        A live segment never shrinks: a ``context_len`` with fewer
+        pages than an earlier lookup or populate of the same stream,
+        layer and kind raises :class:`MemoryModelError` (at every
+        capacity, 0 included) and changes nothing.  Freeing the stream
+        with :meth:`evict_stream` resets it.
         """
-        pages = self._pages(context_len, kind)
-        hits = (
-            self._touch(stream, layer, kind, pages)
-            if self._lru is not None else 0
-        )
+        segment, pages = self._segment(stream, layer, context_len, kind)
+        hits = self._touch(segment, pages) if self.capacity_pages else 0
         misses = pages - hits
         self.lookups += pages
         self.hits += hits
@@ -217,16 +258,20 @@ class KVCacheModel:
         Prefill *produces* the pages (writes), so residency is seeded
         but the hit/miss statistics — which describe decode-step
         *reads* — are left untouched.  Arguments are checked as in
-        :meth:`lookup`; otherwise a no-op in zero-capacity mode.
+        :meth:`lookup`, the never-shrink rule included; otherwise a
+        no-op in zero-capacity mode.
         """
-        pages = self._pages(context_len, kind)
-        if self._lru is None:
-            return
-        self._touch(stream, layer, kind, pages)
+        segment, pages = self._segment(stream, layer, context_len, kind)
+        if self.capacity_pages:
+            self._touch(segment, pages)
 
     def evict_stream(self, stream: int) -> None:
-        """Drop a finished stream's pages (frees capacity immediately)."""
-        if self._lru is None:
-            return
-        for key in self._stream_keys.pop(stream, ()):
-            self._lru.remove(key)
+        """Drop a finished stream's pages (frees capacity immediately).
+
+        Freed pages are the owner releasing storage, not the cache
+        running out of room, so they are not counted as evictions.
+        """
+        for segment in self._streams.pop(stream, ()):
+            run = self._runs.pop(segment, None)
+            if run is not None:
+                self._used_pages -= run[1] - run[0]

@@ -122,9 +122,14 @@ class TestConservation:
         min_size=1, max_size=40,
     ), st.sampled_from([0, 64 * 1024, None]))
     def test_hits_plus_misses_equals_lookups(self, steps, capacity):
+        # A live segment's context only grows, as in decode: each step
+        # reads at least the context its segment last read.
         cache = make_cache(capacity_bytes=capacity)
         total_pages = 0
+        contexts = {}
         for stream, layer, context in steps:
+            context = max(context, contexts.get((stream, layer), 0))
+            contexts[stream, layer] = context
             look = cache.lookup(stream, layer, context)
             assert look.hits + look.misses == look.pages
             assert look.missed_bytes == look.misses * cache.page_bytes
@@ -173,12 +178,51 @@ class TestStreamLifecycle:
         assert look.refetch_cycles == 0
 
 
-class _ReferenceKVCache:
-    """The string-keyed, prefix-scan residency model, kept as an oracle.
+class TestShrinkingSegmentRefused:
+    """A live segment never shrinks: one range per segment stays exact."""
 
-    Pages are keyed ``s{stream}.l{layer}.{kind}.p{page}`` and a
-    finished stream is freed by scanning every resident key for its
-    ``s{stream}.`` prefix.  Slow, but plainly correct.
+    @pytest.mark.parametrize("capacity", [0, None])
+    @pytest.mark.parametrize("op", ["lookup", "populate"])
+    def test_fewer_pages_than_held_is_refused(self, capacity, op):
+        cache = make_cache(capacity_bytes=capacity)
+        cache.populate(stream=3, layer=2, context_len=300, kind="cross")
+        cache.lookup(stream=3, layer=2, context_len=310, kind="cross")
+        before = (cache.lookups, cache.hits, cache.misses,
+                  cache.evictions, cache.used_bytes)
+        with pytest.raises(
+            MemoryModelError,
+            match=r"stream 3 layer 2 cross K/V would shrink from 5 to 4 "
+                  r"pages",
+        ):
+            getattr(cache, op)(3, 2, 256, kind="cross")
+        assert (cache.lookups, cache.hits, cache.misses, cache.evictions,
+                cache.used_bytes) == before
+        # The same page count, another segment, or the stream freed
+        # first are all accepted.
+        cache.lookup(3, 2, 257, kind="cross")
+        cache.lookup(3, 2, 64, kind="self")
+        cache.evict_stream(3)
+        getattr(cache, op)(3, 2, 64, kind="cross")
+
+    def test_segment_longer_than_the_cache_misses_in_full(self):
+        # Five pages through a three-page cache: each touch evicts the
+        # front of its own segment before reading it, so nothing hits,
+        # and the last three pages stay resident.
+        cache = make_cache(capacity_bytes=3 * cache_page_bytes())
+        cache.populate(0, 0, 5 * DEFAULT_PAGE_TOKENS)
+        look = cache.lookup(0, 0, 5 * DEFAULT_PAGE_TOKENS)
+        assert (look.hits, look.misses) == (0, 5)
+        assert cache.evictions == 2 + 5
+        assert cache.used_bytes == 3 * cache_page_bytes()
+
+
+class _ReferenceKVCache:
+    """The page walk over :class:`WeightCache`, kept as an oracle.
+
+    Every page is its own LRU entry, keyed
+    ``s{stream}.l{layer}.{kind}.p{page}``, and a finished stream is
+    freed by scanning every resident key for its ``s{stream}.`` prefix.
+    Slow, but plainly correct.
     """
 
     page_tokens = 64
@@ -231,6 +275,11 @@ class _ReferenceKVCache:
             self.lru.remove(key)
 
 
+#: Context lengths at a page edge: 64k - 1, 64k and 64k + 1 tokens.
+page_edges = st.integers(1, 11).flatmap(
+    lambda k: st.sampled_from([64 * k - 1, 64 * k, 64 * k + 1])
+)
+
 #: Streams 1, 10 and 11 share string prefixes ("s1" / "s10" / "s11"):
 #: freeing one must never free another.
 kv_ops = st.lists(
@@ -239,7 +288,7 @@ kv_ops = st.lists(
             st.sampled_from(["lookup", "populate"]),
             st.sampled_from([0, 1, 10, 11]),    # stream
             st.integers(0, 2),                  # layer
-            st.integers(1, 400),                # context_len
+            st.one_of(st.integers(1, 700), page_edges),  # context_len
             st.sampled_from(["self", "cross"]),
         ),
         st.tuples(st.just("evict"), st.sampled_from([0, 1, 10, 11])),
@@ -247,25 +296,43 @@ kv_ops = st.lists(
     max_size=50,
 )
 
+PAGE = 65536
+
 
 class TestMatchesStringKeyedReference:
-    @settings(max_examples=150, deadline=None)
-    @given(kv_ops, st.sampled_from([0, 3 * 65536, 10 * 65536, None]))
+    @settings(max_examples=300, deadline=None)
+    @given(kv_ops, st.sampled_from([0, PAGE, 3 * PAGE, 10 * PAGE, None]))
     def test_every_operation_agrees(self, ops, capacity):
         mem = MemoryConfig(bandwidth_gbps=10.0)
         cache = make_cache(capacity_bytes=capacity, mem=mem)
         ref = _ReferenceKVCache(
             base_model(), AcceleratorConfig(), cache.capacity_bytes, mem
         )
+        held = {}
         for op in ops:
+            counters = (cache.hits, cache.misses, cache.evictions,
+                        cache.used_bytes)
             if op[0] == "evict":
                 cache.evict_stream(op[1])
                 ref.evict_stream(op[1])
-            elif op[0] == "lookup":
-                assert cache.lookup(*op[1:]) == ref.lookup(*op[1:])
+                held = {k: v for k, v in held.items() if k[0] != op[1]}
             else:
-                cache.populate(*op[1:])
-                ref.populate(*op[1:])
+                name, stream, layer, context, kind = op
+                pages = -(-context // DEFAULT_PAGE_TOKENS)
+                if pages < held.get((stream, layer, kind), 0):
+                    # It would split the segment's run: refused, and
+                    # the page walk never sees it.
+                    with pytest.raises(MemoryModelError, match="shrink"):
+                        getattr(cache, name)(*op[1:])
+                    assert (cache.hits, cache.misses, cache.evictions,
+                            cache.used_bytes) == counters
+                    continue
+                held[stream, layer, kind] = pages
+                if name == "lookup":
+                    assert cache.lookup(*op[1:]) == ref.lookup(*op[1:])
+                else:
+                    cache.populate(*op[1:])
+                    ref.populate(*op[1:])
             assert (cache.hits, cache.misses, cache.evictions,
                     cache.used_bytes) == (ref.hits, ref.misses,
                                           ref.evictions, ref.used_bytes)
