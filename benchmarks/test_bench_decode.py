@@ -163,5 +163,5 @@ def test_bench_decode_kv_lru_ops(base_model, bench_headline, monkeypatch):
           f"lookup/populate calls")
     bench_headline("decode.kv_lru_ops_per_lookup", ops / calls)
     assert calls > 0
-    # No K/V page walks an LRU of its own.
+    # No K/V lookup walks WeightCache page by page.
     assert lru_accesses == 0

@@ -8,9 +8,10 @@ models what it costs to get them there over a DDR/AXI link:
   efficiency, per-transfer latency, channel sharing);
 * :class:`TilePrefetcher` — double-buffered 64-column weight-tile
   prefetch used by the core scheduler and the analytic cycle model;
-* :class:`WeightCache` — LRU over sized blocks, the K/V page cache of
-  decode; :func:`default_weight_cache_bytes` — the Table II BRAM budget
-  that sizes a serving replica's cold-or-warm weight cache;
+* :class:`WeightCache` — LRU over sized blocks, the page walk decode's
+  run-length K/V cache is tested against;
+  :func:`default_weight_cache_bytes` — the Table II BRAM budget that
+  sizes a serving replica's cold-or-warm weight cache;
 * :func:`analyze_memory_system` / :class:`MemorySystemReport` — stall
   shares, the accelerator-side roofline ceiling, and the
   compute/memory-bound crossover bandwidth.

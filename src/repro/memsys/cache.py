@@ -1,14 +1,15 @@
 """An LRU over sized blocks, and the Table II weight-memory budget.
 
 :class:`WeightCache` keeps whole blocks (a hashable key and a byte
-size) in LRU order.  The K/V residency model runs one over 64-token
-pages (:mod:`repro.decode.kvcache`): decode traffic is not cyclic, so
-it needs a real LRU.  Serving replicas need none.  Every run touches
-the same ResBlock weight sets in the same order, so a replica's weight
-cache is either cold or warm, and
+size) in LRU order.  No simulator walks it.  Serving replicas need no
+LRU: every run touches the same ResBlock weight sets in the same
+order, so a replica's weight cache is either cold or warm, and
 :class:`~repro.serving.devices.WorkerPool` prices both states from a
 capacity that defaults to the Table II BRAM budget the paper
-synthesizes (:func:`default_weight_cache_bytes`).
+synthesizes (:func:`default_weight_cache_bytes`).  Decode's K/V pages
+do need an LRU, but :mod:`repro.decode.kvcache` keeps one entry per
+segment of pages, not per page.  This page-granular walk remains as
+the K/V tests' oracle and a profiling hook of the repo benchmark.
 
 A block larger than the whole cache counts as a miss and is *not*
 inserted (it would only evict everything for nothing — the hardware
@@ -46,8 +47,8 @@ def default_weight_cache_bytes(
 class WeightCache:
     """LRU cache of sized blocks under a byte capacity.
 
-    Any hashable key works: the K/V residency model keys pages by int
-    tuples (:mod:`repro.decode.kvcache`).
+    Any hashable key works: the K/V tests key pages by strings and
+    check :class:`~repro.decode.kvcache.KVCacheModel` against this walk.
 
     ``used_bytes`` is a running counter, kept current on insert, on
     each LRU eviction and in :meth:`remove`, so every access is O(1).

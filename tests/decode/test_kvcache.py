@@ -296,7 +296,7 @@ kv_ops = st.lists(
     max_size=50,
 )
 
-PAGE = 65536
+PAGE = cache_page_bytes()
 
 
 class TestMatchesStringKeyedReference:
@@ -310,27 +310,24 @@ class TestMatchesStringKeyedReference:
         )
         held = {}
         for op in ops:
-            counters = (cache.hits, cache.misses, cache.evictions,
-                        cache.used_bytes)
             if op[0] == "evict":
                 cache.evict_stream(op[1])
                 ref.evict_stream(op[1])
                 held = {k: v for k, v in held.items() if k[0] != op[1]}
             else:
                 name, stream, layer, context, kind = op
+                segment = (stream, layer, kind)
                 pages = -(-context // DEFAULT_PAGE_TOKENS)
-                if pages < held.get((stream, layer, kind), 0):
-                    # It would split the segment's run: refused, and
-                    # the page walk never sees it.
+                if pages < held.get(segment, 0):
+                    # It would split the segment's run: refused,
+                    # changing nothing, and the page walk skips it.
                     with pytest.raises(MemoryModelError, match="shrink"):
                         getattr(cache, name)(*op[1:])
-                    assert (cache.hits, cache.misses, cache.evictions,
-                            cache.used_bytes) == counters
-                    continue
-                held[stream, layer, kind] = pages
-                if name == "lookup":
+                elif name == "lookup":
+                    held[segment] = pages
                     assert cache.lookup(*op[1:]) == ref.lookup(*op[1:])
                 else:
+                    held[segment] = pages
                     cache.populate(*op[1:])
                     ref.populate(*op[1:])
             assert (cache.hits, cache.misses, cache.evictions,
