@@ -120,7 +120,7 @@ class KVCacheModel:
         self.acc = acc
         self.mem = mem
         self.capacity_bytes = int(capacity_bytes)
-        self.capacity_pages = self.capacity_bytes // self.page_bytes
+        self._capacity_pages = self.capacity_bytes // self.page_bytes
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -184,7 +184,7 @@ class KVCacheModel:
     def _touch(self, segment: tuple[int, int, int], pages: int) -> int:
         """Access pages ``0..pages-1`` oldest-first; return the hits."""
         runs = self._runs
-        cap = self.capacity_pages
+        cap = self._capacity_pages
         used = self._used_pages
         held = hits = 0
         run = runs.get(segment)
@@ -236,7 +236,7 @@ class KVCacheModel:
         with :meth:`evict_stream` resets it.
         """
         segment, pages = self._segment(stream, layer, context_len, kind)
-        hits = self._touch(segment, pages) if self.capacity_pages else 0
+        hits = self._touch(segment, pages) if self._capacity_pages else 0
         misses = pages - hits
         self.lookups += pages
         self.hits += hits
@@ -262,7 +262,7 @@ class KVCacheModel:
         no-op in zero-capacity mode.
         """
         segment, pages = self._segment(stream, layer, context_len, kind)
-        if self.capacity_pages:
+        if self._capacity_pages:
             self._touch(segment, pages)
 
     def evict_stream(self, stream: int) -> None:
