@@ -1,4 +1,4 @@
-"""The output-equivalence corpus: seventeen simulator runs and their digests.
+"""The output-equivalence corpus: nineteen simulator runs and their digests.
 
 Each run is one seeded simulation made with a metrics registry and a
 sampled :class:`~repro.obs.TraceCollector` attached.  Its outputs are
@@ -157,6 +157,13 @@ def runs(seed: int) -> dict[str, Callable]:
             num_requests=400, num_devices=2,
             compression=circulant_spec(16), seed=seed,
         )),
+        # Queue timeouts on replicas that fail-stop: most requests
+        # expire, at their deadlines, while the pool is busy.
+        "serving-replicas-expire": _serving(ServingConfig(
+            arrival_rate_rps=900.0, num_requests=400, num_devices=2,
+            queue_timeout_us=15_000.0, device_failure_rate=0.01,
+            seed=seed,
+        )),
         "cluster-slo-autoscaled": _cluster(
             pinned_cluster(requests_per_tenant=120, seed=seed)
         ),
@@ -176,6 +183,13 @@ def runs(seed: int) -> dict[str, Callable]:
             pinned_cluster(requests_per_tenant=120, seed=seed),
             rate=3.0, slo=0.3,
         )),
+        # Three times the pinned traffic through round-robin with a
+        # queue timeout: requests expire on pools the autoscaler grows.
+        "cluster-timeouts-expire": _cluster(_squeezed(
+            pinned_cluster(requests_per_tenant=120,
+                           router_policy="round_robin", seed=seed),
+            rate=3.0, slo=1.0,
+        ).with_updates(queue_timeout_us=15_000.0)),
         # Warm FPGA pools: devices the autoscaler adds join cold.
         "cluster-warm-cache": _cluster(_warm_cache(
             pinned_cluster(requests_per_tenant=120, seed=seed)
