@@ -233,8 +233,6 @@ class _StreamQueue:
     full; streams never time out.
     """
 
-    timeout_us = _INF
-
     def __init__(self, capacity: int, chunk_rows: Optional[int]) -> None:
         # chunk_rows None: one prefill dispatch per prompt.
         self.capacity, self.chunk_rows = capacity, chunk_rows
@@ -269,17 +267,14 @@ class _Interleaver:
     decode first under ``decode_priority``, kinds alternating whenever
     both wait under the ``prefill_chunk`` round robin.  When it finds
     nothing, every stream is busy and ``next_deadline_us`` is the
-    earliest ``busy_until`` — or inf while a wakeup at or before that
-    is still pending, so wakeups land at distinct unit ends.
+    earliest ``busy_until`` (the kernel keeps one wakeup pending).
     """
 
     def __init__(self, round_robin: bool, max_batch: int) -> None:
         self.round_robin, self.max_batch = round_robin, max_batch
-        self.last_decode, self.wakeup_us = True, _INF
+        self.last_decode = True
 
     def try_form(self, queue: _StreamQueue, now_us: float, force=False):
-        if now_us >= self.wakeup_us:
-            self.wakeup_us = _INF
         ready = [a for a in queue.active if a.busy_until <= now_us]
         prefill = next(
             (a for a in queue.pending if a.busy_until <= now_us), None
@@ -294,11 +289,7 @@ class _Interleaver:
         return prefill
 
     def next_deadline_us(self, queue: _StreamQueue) -> float:
-        deadline = min(a.busy_until for a in queue.pending + queue.active)
-        if deadline >= self.wakeup_us:
-            return _INF
-        self.wakeup_us = deadline
-        return deadline
+        return min(a.busy_until for a in queue.pending + queue.active)
 
 
 class _Devices:

@@ -22,9 +22,13 @@ the pool's fault stream.
 Push sites, which bound the event count linearly:
 
 * ``ARRIVAL`` — one per offered request, all pushed up front;
-* ``WAKEUP`` — one queue timeout per admitted request, plus at most one
-  batching/expiry deadline per dispatch attempt that finds a free pool
-  but no batch to cut;
+* ``WAKEUP`` — at most one pending per pool (``wakeup_us``).  A
+  dispatch attempt that leaves waiters arms the pool's next deadline:
+  the head's queue timeout, or on a free pool the earlier of that and
+  the batcher's deadline.  It pushes only when that is earlier than the
+  pending one, and popping one at or after its time clears it.  The
+  queue is FIFO with one timeout, so the head expires first and every
+  expiry still runs at its exact deadline;
 * ``POOL_FREE`` — at most one pending per pool (``free_wakeup_us``).  A
   busy pool pushes one only when it frees earlier than the pending one,
   and popping one at or after its time clears it, so a new one follows
@@ -68,8 +72,8 @@ class PoolState:
 
     Every batch run draws a device fail-stop with ``device_failure_rate``
     and a batch fault with ``batch_fault_rate`` from ``fault_rng``.
-    ``free_wakeup_us`` is the pool's one pending ``POOL_FREE`` time (inf:
-    none).
+    ``free_wakeup_us`` and ``wakeup_us`` are the pool's one pending
+    ``POOL_FREE`` and ``WAKEUP`` times (inf: none).
     """
 
     queue: AdmissionQueue
@@ -80,6 +84,7 @@ class PoolState:
     max_retries: int = 0
     fault_rng: Optional[np.random.Generator] = None
     free_wakeup_us: float = _INF
+    wakeup_us: float = _INF
 
 
 class Dispatch(NamedTuple):
@@ -174,13 +179,8 @@ class EventKernel:
             if kind == ARRIVAL:
                 self.remaining_arrivals -= 1
                 pool = self.route(payload, now_us)
-                if pool is not None:
-                    queue = pool.queue
-                    if not queue.offer(payload, now_us):
-                        drop(payload, pool, now_us, "rejected")
-                    elif queue.timeout_us != _INF:
-                        self.push(payload.arrival_us + queue.timeout_us,
-                                  WAKEUP, pool)
+                if pool is not None and not pool.queue.offer(payload, now_us):
+                    drop(payload, pool, now_us, "rejected")
             elif kind == COMPLETION:
                 dispatch(self.completed(payload, now_us), now_us)
                 continue
@@ -190,8 +190,11 @@ class EventKernel:
                 continue
             else:
                 pool = payload
-                if kind == POOL_FREE and now_us >= pool.free_wakeup_us:
-                    pool.free_wakeup_us = _INF
+                if kind == POOL_FREE:
+                    if now_us >= pool.free_wakeup_us:
+                        pool.free_wakeup_us = _INF
+                elif now_us >= pool.wakeup_us:
+                    pool.wakeup_us = _INF
             if pool is not None:
                 for request in pool.queue.expire(now_us):
                     drop(request, pool, now_us, "expired")
@@ -206,7 +209,8 @@ class EventKernel:
         return self.last_completion_us - self.first_arrival_us
 
     def attempt_dispatch(self, pool: PoolState, now_us: float) -> None:
-        """Dispatch batches from ``pool``'s queue while it can take them."""
+        """Dispatch batches from ``pool``'s queue while it can take them,
+        then arm the pool's next deadline if waiters are left."""
         queue, workers = pool.queue, pool.workers
         while len(queue):
             if not workers.pool_alive:
@@ -218,17 +222,23 @@ class EventKernel:
                 if free_at < pool.free_wakeup_us:
                     pool.free_wakeup_us = free_at
                     self.push(free_at, POOL_FREE, pool)
+                self._arm(pool, queue.next_expiry_us(), now_us)
                 return
             batch = pool.batcher.try_form(
                 queue, now_us, force=(self.remaining_arrivals == 0)
             )
             if batch is None:
-                deadline = min(pool.batcher.next_deadline_us(queue),
-                               queue.next_expiry_us())
-                if deadline != _INF:
-                    self.push(max(deadline, now_us), WAKEUP, pool)
+                self._arm(pool, min(pool.batcher.next_deadline_us(queue),
+                                    queue.next_expiry_us()), now_us)
                 return
             self._run_batch(pool, batch, now_us)
+
+    def _arm(self, pool: PoolState, deadline: float, now_us: float) -> None:
+        """Keep the pool's one pending ``WAKEUP`` at or before ``deadline``."""
+        deadline = max(deadline, now_us)
+        if deadline < pool.wakeup_us:
+            pool.wakeup_us = deadline
+            self.push(deadline, WAKEUP, pool)
 
     def _run_batch(self, pool: PoolState, batch: Batch, now_us: float) -> None:
         workers, abft = pool.workers, pool.workers.acc.abft_protected

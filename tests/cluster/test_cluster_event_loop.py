@@ -12,17 +12,17 @@ the push sites listed in :mod:`repro.serving.kernel` bound them:
   dispatch), when a drain leaves the pool busy past the pending time, or
   when a scale-up makes the pool free earlier than it, so at most
   ``B + S + P``;
-* ``WAKEUP`` for the queue timeout — at most ``A``;
-* ``WAKEUP`` for a batching/expiry deadline — at most one per dispatch
-  attempt.  Attempts follow a routed arrival, the last arrival's flush
-  of the other pools, a completion, a pool-free or timeout wakeup, or a
-  scale-up: ``2A + 2B + 2S + 2P``.  A deadline wakeup pushes another
-  only after the head request left its queue, by dispatch or expiry:
-  ``B + X <= A + B`` more;
+* ``WAKEUP`` — at most one pending per pool, for the head request's
+  timeout or the batcher's deadline, and at most one per dispatch
+  attempt that leaves waiters.  Attempts follow a routed arrival, the
+  last arrival's flush of the other pools, a completion, a pool-free
+  wakeup, or a scale-up: ``A + 2B + 2S + 2P``.  A deadline wakeup
+  pushes another only after the head request left its queue, by
+  dispatch or expiry: ``B + X <= A + B`` more;
 * ``SCALER`` — ``T``, one per autoscaler interval while work remains.
 
-Summing the sites gives ``events <= 5A + 5B + 3S + 3P + T``.  The pinned
-three-pool cluster measures about 4.2 events per request.
+Summing the sites gives ``events <= 3A + 5B + 3S + 3P + T``.  The pinned
+three-pool cluster measures about 2.9 events per request.
 """
 
 import dataclasses
@@ -46,8 +46,8 @@ from repro.obs import TraceCollector
 from repro.obs.slo import BurnRateMonitor
 from repro.serving.kernel import ARRIVAL, COMPLETION, POOL_FREE, SCALER
 
-#: Ceiling on events per request of the linear loop (measured 4.0-4.3).
-EVENTS_PER_REQUEST_MAX = 4.5
+#: Ceiling on events per request of the linear loop (measured 1.4-2.9).
+EVENTS_PER_REQUEST_MAX = 3.5
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +212,7 @@ class TestKernelInvariants:
             if cluster.autoscaler.enabled else 0
         )
         assert sum(kinds.values()) <= (
-            5 * m.offered + 5 * batches + 3 * actions + 3 * pools
+            3 * m.offered + 5 * batches + 3 * actions + 3 * pools
             + kinds[SCALER]
         )
 

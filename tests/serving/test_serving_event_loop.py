@@ -5,12 +5,11 @@ Every simulated event is one ``heapq.heappop``, so the tests count pops
 sites listed in :mod:`repro.serving.kernel`, for one pool:
 
 * ``ARRIVAL`` — one per offered request;
-* ``WAKEUP`` for the queue timeout — at most one per admitted request;
-* ``WAKEUP`` for a batching/expiry deadline — at most one per
-  ``attempt_dispatch`` that finds a free pool but no batch to cut.  Such
-  a call follows an arrival, an expiry, a pool-free wakeup, or a
-  deadline wakeup whose head request left the queue (by dispatch or
-  expiry) before it fired;
+* ``WAKEUP`` — at most one pending at a time, for the head request's
+  timeout or the batcher's deadline, and at most one per
+  ``attempt_dispatch`` that leaves waiters.  Such a call follows an
+  arrival, a pool-free wakeup, or a deadline wakeup whose head request
+  left the queue (by dispatch or expiry) when it fired;
 * ``POOL_FREE`` — at most one pending at a time.  A new one is
   pushed only after the pending one fired and the pool went busy again,
   which takes a dispatch or a device failure, so there are at most
