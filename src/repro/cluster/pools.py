@@ -166,7 +166,7 @@ class PoolRuntime(PoolState):
         the batcher's max-wait hold (small against ``run_us``) — a
         cheap, honest-at-dispatch estimate, not an oracle.
         """
-        wait_for_device = max(0.0, self.workers.next_free_us() - now_us)
+        wait_for_device = max(0.0, self.workers.free_at_us - now_us)
         backlog_batches = len(self.queue) / self.batcher.max_requests
         return (now_us + wait_for_device
                 + (backlog_batches + 1.0) * self.workers.run_us)

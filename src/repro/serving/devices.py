@@ -126,7 +126,10 @@ class WorkerPool:
     next (compute plus the cold reload at the current contention, or
     the warm one once every active device is warm; a sharded run's
     stages end to end).  It is refreshed where membership or warmth
-    changes, never per query.
+    changes, never per query.  So is ``free_at_us``, the earliest time
+    the pool can accept another batch (inf once the pool is dead),
+    refreshed by every method that occupies a device or changes
+    membership.
     """
 
     def __init__(
@@ -155,6 +158,7 @@ class WorkerPool:
         # add_device / drain_device / fail_device (the only places that
         # change membership), so the per-event queries never rebuild it.
         self._active = list(self.devices)
+        self.free_at_us = 0.0
         # Memory system (replicate only: layer_shard keeps weights
         # resident, so its run is its stages end to end).
         self.mem = mem if placement == "replicate" else None
@@ -216,6 +220,7 @@ class WorkerPool:
         self.devices.append(device)
         self._active.append(device)
         self._recount_contenders()
+        self._refresh_free_at()
         return device
 
     def drain_device(self, device_id: int, now_us: float) -> Device:
@@ -239,6 +244,7 @@ class WorkerPool:
         device.retired_us = max(now_us, device.free_at_us)
         self._active.remove(device)
         self._recount_contenders()
+        self._refresh_free_at()
         return device
 
     def _warm_residency(self) -> tuple[bool, ...]:
@@ -311,17 +317,22 @@ class WorkerPool:
             if not device.draining:
                 self._active.remove(device)
                 self._recount_contenders()
+                self._refresh_free_at()
+
+    def _refresh_free_at(self) -> None:
+        if not self.pool_alive:
+            self.free_at_us = float("inf")
+        elif self.placement == "replicate":
+            self.free_at_us = min(d.free_at_us for d in self._active)
+        else:
+            self.free_at_us = self.devices[0].free_at_us
 
     def next_free_us(self) -> float:
         """Earliest time the pool can accept another batch."""
-        if not self.pool_alive:
-            return float("inf")
-        if self.placement == "replicate":
-            return min(d.free_at_us for d in self._active)
-        return self.devices[0].free_at_us
+        return self.free_at_us
 
     def can_accept(self, now_us: float) -> bool:
-        return self.next_free_us() <= now_us
+        return self.free_at_us <= now_us
 
     def dispatch(self, batch: Batch, now_us: float) -> DispatchOutcome:
         """Run ``batch`` starting no earlier than ``now_us``."""
@@ -338,6 +349,7 @@ class WorkerPool:
             cycles = self.cost.compute_cycles + reload_cycles
             duration = self.acc.cycles_to_us(cycles)
             device.occupy(start, duration)
+            self._refresh_free_at()
             return DispatchOutcome(
                 start, start + duration,
                 ((device.device_id, start, duration),),
@@ -351,6 +363,7 @@ class WorkerPool:
             device.occupy(start, stage_us)
             occupied.append((device.device_id, start, stage_us))
             ready = start + stage_us
+        self._refresh_free_at()
         return DispatchOutcome(
             occupied[0][1], ready, tuple(occupied), None, None, None, None
         )

@@ -1,8 +1,9 @@
-"""WorkerPool keeps its active-device list current.
+"""WorkerPool keeps its active-device list and earliest free time current.
 
-``WorkerPool`` maintains the alive, non-draining devices incrementally
-in ``add_device`` / ``drain_device`` / ``fail_device`` instead of
-rebuilding the list on every query.  After any random sequence of pool
+``WorkerPool`` maintains the alive, non-draining devices and their
+earliest free time (``free_at_us``) incrementally in ``dispatch`` /
+``add_device`` / ``drain_device`` / ``fail_device`` instead of
+rebuilding them on every query.  After any random sequence of pool
 operations, every query must still equal its definition over the raw
 device flags.
 """
@@ -97,7 +98,10 @@ class TestActiveListProperty:
     def _check(pool):
         assert pool.active_devices == defined_active(pool)
         assert pool.pool_alive == defined_pool_alive(pool)
-        assert pool.next_free_us() == defined_next_free_us(pool)
+        assert pool.free_at_us == defined_next_free_us(pool)
+        assert pool.next_free_us() == pool.free_at_us
+        if not defined_pool_alive(pool):
+            assert pool.free_at_us == float("inf")
         assert pool.device_failures == sum(
             not d.alive for d in pool.devices
         )
