@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from ..config import ClusterConfig, ModelConfig
@@ -62,15 +63,24 @@ DEFAULT_SEQ_LEN = 64
 
 @dataclass
 class ClusterResult:
-    """Everything one simulated cluster run produced."""
+    """Everything one simulated cluster run produced.
+
+    ``log`` is the kernel's run log; ``spans`` are drawn from it on
+    first read.
+    """
 
     cluster: ClusterConfig
     metrics: ClusterMetrics
     records: list[ClusterRecord]
     actions: list[ScaleAction]
-    spans: list[TraceSpan] = field(default_factory=list)
+    log: list = field(default_factory=list, repr=False)
     depth_samples: dict[str, list[tuple]] = field(default_factory=dict)
     device_samples: dict[str, list[tuple]] = field(default_factory=dict)
+
+    @cached_property
+    def spans(self) -> list[TraceSpan]:
+        """The run's Chrome spans (:func:`~repro.serving.views.chrome_spans`)."""
+        return chrome_spans(self.log, cluster=True)
 
     def write_trace(
         self,
@@ -235,7 +245,7 @@ def simulate_cluster(
         metrics=metrics,
         records=records,
         actions=actions,
-        spans=chrome_spans(log, cluster=True),
+        log=log,
         depth_samples={
             p.name: list(p.queue.depth_samples) for p in pools
         },

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -60,16 +61,25 @@ if TYPE_CHECKING:
 
 @dataclass
 class ServingResult:
-    """Everything one simulated run produced."""
+    """Everything one simulated run produced.
+
+    ``log`` is the kernel's run log; ``spans`` are drawn from it on
+    first read.
+    """
 
     serving: ServingConfig
     metrics: ServingMetrics
     records: list[RequestRecord]
     batches: list[Batch]
-    spans: list[TraceSpan] = field(default_factory=list)
+    log: list = field(default_factory=list, repr=False)
     depth_samples: list[tuple] = field(default_factory=list)
     util_samples: list[tuple] = field(default_factory=list)
     cache_samples: list[tuple] = field(default_factory=list)
+
+    @cached_property
+    def spans(self) -> list[TraceSpan]:
+        """The run's Chrome spans (:func:`~repro.serving.views.chrome_spans`)."""
+        return chrome_spans(self.log)
 
     def write_trace(self, path: str) -> int:
         """Write the run's spans + counter tracks as Chrome JSON.
@@ -197,7 +207,7 @@ def simulate_serving(
         metrics=metrics,
         records=records,
         batches=batches,
-        spans=chrome_spans(log),
+        log=log,
         depth_samples=list(queue.depth_samples),
         util_samples=util_samples(
             dispatches, cost.ideal_cycles, cost.compute_cycles, acc.seq_len
