@@ -119,6 +119,9 @@ class KVCacheModel:
         self.model = model
         self.acc = acc
         self.mem = mem
+        # The refetch link, or None when refetch is free (no memory
+        # system, or an unlimited one): decided once, not per lookup.
+        self._link = None if mem is None or mem.is_unlimited else mem
         self.capacity_bytes = int(capacity_bytes)
         self._capacity_pages = self.capacity_bytes // self.page_bytes
         self.lookups = 0
@@ -152,11 +155,12 @@ class KVCacheModel:
         return pages * self.page_bytes
 
     def _refetch_cycles(self, missed_bytes: int) -> int:
-        if missed_bytes == 0 or self.mem is None or self.mem.is_unlimited:
+        if missed_bytes == 0 or self._link is None:
             return 0
         cycles = self._refetch_memo.get(missed_bytes)
         if cycles is None:
-            cycles = self.mem.transfer_cycles(missed_bytes, self.acc.clock_mhz)
+            cycles = self._link.transfer_cycles(missed_bytes,
+                                                self.acc.clock_mhz)
             self._refetch_memo[missed_bytes] = cycles
         return cycles
 
