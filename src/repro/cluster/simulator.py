@@ -73,13 +73,14 @@ class ClusterResult:
     metrics: ClusterMetrics
     records: list[ClusterRecord]
     actions: list[ScaleAction]
-    log: list = field(default_factory=list, repr=False)
+    log: list = field(repr=False, compare=False)
     depth_samples: dict[str, list[tuple]] = field(default_factory=dict)
     device_samples: dict[str, list[tuple]] = field(default_factory=dict)
 
     @cached_property
     def spans(self) -> list[TraceSpan]:
-        """The run's Chrome spans (:func:`~repro.serving.views.chrome_spans`)."""
+        """The run's Chrome spans, drawn from ``log`` by
+        :func:`~repro.serving.views.chrome_spans`."""
         return chrome_spans(self.log, cluster=True)
 
     def write_trace(

@@ -71,14 +71,15 @@ class ServingResult:
     metrics: ServingMetrics
     records: list[RequestRecord]
     batches: list[Batch]
-    log: list = field(default_factory=list, repr=False)
+    log: list = field(repr=False, compare=False)
     depth_samples: list[tuple] = field(default_factory=list)
     util_samples: list[tuple] = field(default_factory=list)
     cache_samples: list[tuple] = field(default_factory=list)
 
     @cached_property
     def spans(self) -> list[TraceSpan]:
-        """The run's Chrome spans (:func:`~repro.serving.views.chrome_spans`)."""
+        """The run's Chrome spans, drawn from ``log`` by
+        :func:`~repro.serving.views.chrome_spans`."""
         return chrome_spans(self.log)
 
     def write_trace(self, path: str) -> int:
