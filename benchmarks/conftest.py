@@ -122,6 +122,26 @@ def heap_events(monkeypatch):
     return lambda: count
 
 
+@pytest.fixture
+def call_count(monkeypatch):
+    """``call_count(owner, name)`` counts calls of ``owner.name`` from
+    here to test end and returns a reading of the running count."""
+
+    def watch(owner, name):
+        count = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return lambda: count
+
+    return watch
+
+
 @pytest.fixture(scope="session")
 def base_model():
     return transformer_base()

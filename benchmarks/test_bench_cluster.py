@@ -15,7 +15,9 @@ import time
 
 from repro.analysis import render_table
 from repro.cluster import pinned_cluster, simulate_cluster
+from repro.core.trace import TraceSpan
 from repro.obs import SamplingPolicy, Span, TraceCollector, TraceSampler
+from repro.serving.kernel import Dispatch, EventKernel
 
 REQUESTS_PER_TENANT = 120
 SEED = 0
@@ -32,7 +34,7 @@ def _run(model, policy, autoscale):
 
 
 def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
-                                   heap_events, monkeypatch):
+                                   heap_events, call_count, monkeypatch):
     smart = _run(base_model, "slo", autoscale=True)
     naive = _run(base_model, "round_robin", autoscale=False)
 
@@ -72,9 +74,12 @@ def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
     assert smart.slo_attainment > naive.slo_attainment
     assert smart.latency_p99_us < naive.latency_p99_us
 
-    # Simulator wall-clock throughput and events per request (see the
-    # serving bench for the loose rel_tol 0.9 band and the exact pin).
+    # Simulator wall-clock throughput, events per request, dispatch
+    # attempts per batch and spans built without a reader (see the
+    # serving bench for the loose rel_tol 0.9 band and the exact pins).
     events_before = heap_events()
+    attempts = call_count(EventKernel, "attempt_dispatch")
+    spans = call_count(TraceSpan, "__init__")
     t0 = time.perf_counter()
     timed = simulate_cluster(
         base_model,
@@ -86,6 +91,9 @@ def test_bench_cluster_slo_routing(benchmark, base_model, bench_headline,
                    len(timed.records) / elapsed)
     bench_headline("cluster.events_per_request",
                    (heap_events() - events_before) / len(timed.records))
+    bench_headline("cluster.dispatch_attempts_per_batch",
+                   attempts() / sum(type(e) is Dispatch for e in timed.log))
+    bench_headline("cluster.spans_per_untraced_run", spans())
 
     # Span nodes a sampled tracer constructs per request, pinned exactly:
     # traces are sampled at the root and only kept trees grow hops, so

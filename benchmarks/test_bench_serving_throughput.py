@@ -11,7 +11,9 @@ import time
 
 from repro.analysis import render_table
 from repro.config import ServingConfig
+from repro.core.trace import TraceSpan
 from repro.serving import simulate_serving
+from repro.serving.kernel import EventKernel
 
 RATES_RPS = (400.0, 1200.0, 2400.0)
 SEED = 11
@@ -48,7 +50,7 @@ def sweep(model, acc):
 
 
 def test_bench_serving_throughput(benchmark, base_model, paper_acc,
-                                  bench_headline, heap_events):
+                                  bench_headline, heap_events, call_count):
     rows, stats = sweep(base_model, paper_acc)
     _, mid_dyn, _ = stats[1]
     bench_headline("serving.throughput_rps_at_1200", mid_dyn.throughput_rps)
@@ -72,9 +74,13 @@ def test_bench_serving_throughput(benchmark, base_model, paper_acc,
     # serving simulator itself resolves per real second.  Gated loosely
     # (rel_tol 0.9) — it guards against order-of-magnitude slowdowns
     # from instrumentation, not against machine-to-machine jitter.
-    # Its events per request are deterministic and pinned exactly: a
-    # loop that goes back to redundant wakeups fails that pin.
+    # Its events per request, dispatch attempts per batch and spans
+    # built without a reader are deterministic and pinned exactly: a
+    # loop that goes back to redundant wakeups, or a result that draws
+    # its spans eagerly, fails a pin.
     events_before = heap_events()
+    attempts = call_count(EventKernel, "attempt_dispatch")
+    spans = call_count(TraceSpan, "__init__")
     t0 = time.perf_counter()
     timed = simulate_serving(
         base_model, paper_acc,
@@ -85,6 +91,9 @@ def test_bench_serving_throughput(benchmark, base_model, paper_acc,
                    len(timed.records) / elapsed)
     bench_headline("serving.events_per_request",
                    (heap_events() - events_before) / len(timed.records))
+    bench_headline("serving.dispatch_attempts_per_batch",
+                   attempts() / len(timed.batches))
+    bench_headline("serving.spans_per_untraced_run", spans())
 
     result = benchmark(
         simulate_serving, base_model, paper_acc,
