@@ -100,8 +100,6 @@ class TestActiveListProperty:
         assert pool.pool_alive == defined_pool_alive(pool)
         assert pool.free_at_us == defined_next_free_us(pool)
         assert pool.next_free_us() == pool.free_at_us
-        if not defined_pool_alive(pool):
-            assert pool.free_at_us == float("inf")
         assert pool.device_failures == sum(
             not d.alive for d in pool.devices
         )
